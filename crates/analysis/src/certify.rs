@@ -45,9 +45,10 @@ pub struct Certificate {
     pub was_inlined: bool,
     /// Whether Lemma 1 unrolling was applied before deadlock analysis.
     pub was_unrolled: bool,
-    /// Sync-graph size after any unrolling: `(nodes, control edges, sync
-    /// edges)`.
-    pub graph_size: (usize, usize, usize),
+    /// The sync graph the deadlock half analysed (after any inlining and
+    /// unrolling). The node indices in [`refined`](Certificate::refined)
+    /// refer to this graph.
+    pub sg: SyncGraph,
     /// The naive §3.1 result (reported for comparison; not the verdict).
     pub naive: NaiveResult,
     /// The refined §4.2 result — the deadlock verdict.
@@ -140,11 +141,6 @@ pub(crate) fn certify_impl(
         let _span = ctx.span("pipeline", "syncgraph");
         SyncGraph::from_program(target)
     };
-    let graph_size = (
-        sg.num_nodes(),
-        sg.control.num_edges(),
-        sg.num_sync_edges(),
-    );
     let naive = {
         let _span = ctx.span("pipeline", "naive");
         naive_analysis(&sg)
@@ -153,9 +149,9 @@ pub(crate) fn certify_impl(
     // succeeds, matching the commit-on-completion discipline of the
     // analyses it drives.
     let delta = Counters {
-        sg_nodes: graph_size.0 as u64,
-        sg_control_edges: graph_size.1 as u64,
-        sg_sync_edges: graph_size.2 as u64,
+        sg_nodes: sg.num_nodes() as u64,
+        sg_control_edges: sg.control.num_edges() as u64,
+        sg_sync_edges: sg.num_sync_edges() as u64,
         clg_cycles: naive.cycle_components.len() as u64,
         ..Counters::default()
     };
@@ -176,7 +172,7 @@ pub(crate) fn certify_impl(
     };
     ctx.commit_metrics(&delta);
     if let Some(mut span) = pipeline_span {
-        span.note("sg_nodes", graph_size.0 as u64);
+        span.note("sg_nodes", sg.num_nodes() as u64);
         span.note("steps", ctx.budget().steps());
     }
 
@@ -184,7 +180,7 @@ pub(crate) fn certify_impl(
         warnings,
         was_inlined,
         was_unrolled,
-        graph_size,
+        sg,
         naive,
         refined,
         stall,
@@ -375,8 +371,8 @@ mod tests {
     #[test]
     fn graph_size_reflects_unrolling() {
         let c1 = run("task a { send b.m; } task b { accept m; }");
-        assert_eq!(c1.graph_size.0, 2 + 2);
+        assert_eq!(c1.sg.num_nodes(), 2 + 2);
         let c2 = run("task a { while { send b.m; } } task b { while { accept m; } }");
-        assert!(c2.graph_size.0 > c1.graph_size.0, "unrolled copies present");
+        assert!(c2.sg.num_nodes() > c1.sg.num_nodes(), "unrolled copies present");
     }
 }

@@ -19,13 +19,14 @@
 
 use crate::coexec::CoexecInfo;
 use crate::ctx::AnalysisCtx;
-use crate::sequence::SequenceInfo;
+use crate::sequence::{FinishOrder, SequenceInfo};
 use iwa_core::obs::Counters;
 use iwa_core::{Budget, IwaError};
 use iwa_syncgraph::{Clg, ClgEdge, SyncGraph};
 
 /// Which ordering relation constraint 3a should use (see
-/// [`SequenceInfo`] for why there are two).
+/// [`SequenceInfo`] for why there are two; [`FinishOrder`] holds the
+/// second).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SeqRelation {
     /// Wave exclusion — the semantically necessary condition for real
@@ -207,10 +208,10 @@ pub(crate) fn exact_impl(
     let wallclock = ctx.budget();
     let span = ctx.span("analysis", "exact cycles");
     let clg = Clg::build(sg);
-    let seq = if constraints.c3a.is_some() {
-        Some(SequenceInfo::compute(sg))
-    } else {
-        None
+    let seq = constraints.c3a.map(|_| SequenceInfo::compute(sg));
+    let finish = match (constraints.c3a, &seq) {
+        (Some(SeqRelation::FinishBeforeStart), Some(seq)) => Some(FinishOrder::compute(sg, seq)),
+        _ => None,
     };
     let cx = if constraints.c3b {
         Some(CoexecInfo::compute(sg))
@@ -223,6 +224,7 @@ pub(crate) fn exact_impl(
         clg: &clg,
         constraints,
         seq: seq.as_ref(),
+        finish: finish.as_ref(),
         cx: cx.as_ref(),
         budget,
         wallclock,
@@ -309,6 +311,8 @@ struct Search<'a> {
     clg: &'a Clg,
     constraints: &'a ConstraintSet,
     seq: Option<&'a SequenceInfo>,
+    /// Built only for [`SeqRelation::FinishBeforeStart`].
+    finish: Option<&'a FinishOrder>,
     cx: Option<&'a CoexecInfo>,
     budget: &'a ExactBudget,
     wallclock: &'a Budget,
@@ -342,12 +346,15 @@ impl Search<'_> {
                 return false;
             }
             if let Some(rel) = self.constraints.c3a {
-                let seq = self.seq.expect("computed when c3a is on");
                 let ordered = match rel {
-                    SeqRelation::WaveExclusion => seq.wave_exclusive(self.sg, h, other),
-                    SeqRelation::FinishBeforeStart => {
-                        seq.paper_sequenceable(self.sg, h, other)
-                    }
+                    SeqRelation::WaveExclusion => self
+                        .seq
+                        .expect("computed when c3a is on")
+                        .wave_exclusive(self.sg, h, other),
+                    SeqRelation::FinishBeforeStart => self
+                        .finish
+                        .expect("computed for finish-before-start")
+                        .paper_sequenceable(self.sg, h, other),
                 };
                 if ordered {
                     return false;

@@ -39,7 +39,7 @@ pub use ctx::AnalysisCtx;
 pub use exact::{ConstraintSet, CycleWitness, ExactBudget, ExactResult, SeqRelation};
 pub use naive::{naive_analysis, NaiveResult};
 pub use refined::{FlaggedHead, RefinedOptions, RefinedResult, Tier};
-pub use sequence::SequenceInfo;
+pub use sequence::{FinishOrder, SequenceInfo};
 pub use stall::{StallOptions, StallReport, StallVerdict};
 
 // The deprecated `foo`/`foo_budgeted` twins stay re-exported so old code

@@ -39,7 +39,7 @@
 
 use crate::coexec::CoexecInfo;
 use crate::ctx::AnalysisCtx;
-use crate::sequence::SequenceInfo;
+use crate::sequence::{FinishOrder, SequenceInfo};
 use iwa_core::obs::Counters;
 use iwa_core::{pool, IwaError};
 use iwa_graphs::{BitSet, Scc};
@@ -308,10 +308,17 @@ pub(crate) fn refined_seeded_with_impl(
     opts: &RefinedOptions,
     ctx: &AnalysisCtx,
 ) -> Result<RefinedResult, IwaError> {
-    let rescued = if opts.apply_constraint4 {
-        constraint4_rescued(sg, seq)
-    } else {
-        Vec::new()
+    // The finish-before-start relation is read only by the constraint-4
+    // rescue and the literal-relation ablation; build it for them alone.
+    let finish = (opts.apply_constraint4
+        || (opts.use_sequenceable && opts.paper_sequence_relation))
+        .then(|| {
+            let _span = ctx.span("analysis", "finish order");
+            FinishOrder::compute(sg, seq)
+        });
+    let rescued = match (&finish, opts.apply_constraint4) {
+        (Some(finish), true) => constraint4_rescued(sg, finish),
+        _ => Vec::new(),
     };
     // Constraint-4 rescued nodes can never be WAITING on an anomalous
     // wave, so they are dropped from the hypothesis list up front.
@@ -334,12 +341,23 @@ pub(crate) fn refined_seeded_with_impl(
         let _span = ctx.span("analysis", "shared scc");
         Scc::compute(&pg.graph, None)
     };
+    let search = Search {
+        sg,
+        pg: &pg,
+        full: &full,
+        seq,
+        finish: finish.as_ref(),
+        cx,
+        opts,
+        rescued: &rescued,
+        ctx,
+    };
 
     let mut search_span = ctx
         .span("analysis", "head search")
         .map(|s| s.arg("heads", heads.len() as u64));
     let (outcomes, pool_stats) = pool::try_map_stats(ctx.num_workers(), heads.len(), |i| {
-        examine_head(sg, &pg, &full, seq, cx, opts, heads[i], &rescued, ctx)
+        search.examine_head(heads[i])
     });
     // Steal counts are scheduling-dependent by nature; recording them
     // even for a tripped run keeps the quarantined sched stats honest.
@@ -374,316 +392,304 @@ pub(crate) fn refined_seeded_with_impl(
     })
 }
 
-/// Examine one head hypothesis end to end: the base marked search plus
-/// any pair/tail confirmation the tier asks for. This is the unit of
-/// parallel work — it touches only shared immutable tables and the
-/// shared budget.
-#[allow(clippy::too_many_arguments)]
-fn examine_head(
-    sg: &SyncGraph,
-    pg: &PortClg,
-    full: &Scc,
-    seq: &SequenceInfo,
-    cx: &CoexecInfo,
-    opts: &RefinedOptions,
-    h: usize,
-    rescued: &[usize],
-    ctx: &AnalysisCtx,
-) -> Result<HeadOutcome, IwaError> {
-    let budget = ctx.budget();
-    budget.probe("refined head hypotheses")?;
-    let _span = ctx.span("refined", format!("head {h}"));
-    let mut delta = Counters {
-        heads_examined: 1,
-        ..Counters::default()
-    };
-    // Only *incremental* masked Tarjan passes count here; hypotheses the
-    // shared decomposition refutes outright cost zero runs.
-    let mut runs = 0usize;
-    let Some(component) = marked_search(
-        sg, pg, full, seq, cx, &[h], None, rescued, opts, ctx, &mut runs, &mut delta,
-    )?
-    else {
-        delta.scc_runs = runs as u64;
-        return Ok((runs, None, delta)); // h certified
-    };
-    let single_task = component
-        .iter()
-        .all(|&n| sg.node(n).task == sg.node(h).task);
-    let flag = match opts.tier {
-        Tier::Heads => Some(FlaggedHead {
-            head: h,
-            partner: None,
-            component,
-        }),
-        _ if single_task => {
-            // A deadlock cycle may have a single head (self-coupling);
-            // pair/tail confirmation does not apply (footnote 6).
-            Some(FlaggedHead {
+/// The shared, immutable tables every head hypothesis reads. Hypotheses
+/// touch nothing else but the ctx's shared budget, so they fan out across
+/// workers freely.
+struct Search<'a> {
+    sg: &'a SyncGraph,
+    pg: &'a PortClg,
+    /// The shared SCC decomposition of `pg`.
+    full: &'a Scc,
+    seq: &'a SequenceInfo,
+    /// `S`, present only when an option reads it.
+    finish: Option<&'a FinishOrder>,
+    cx: &'a CoexecInfo,
+    opts: &'a RefinedOptions,
+    /// Constraint-4 rescued nodes (empty unless the post-pass is on).
+    rescued: &'a [usize],
+    ctx: &'a AnalysisCtx,
+}
+
+impl Search<'_> {
+    /// Examine one head hypothesis end to end: the base marked search plus
+    /// any pair/tail confirmation the tier asks for. This is the unit of
+    /// parallel work.
+    fn examine_head(&self, h: usize) -> Result<HeadOutcome, IwaError> {
+        let sg = self.sg;
+        let budget = self.ctx.budget();
+        budget.probe("refined head hypotheses")?;
+        let _span = self.ctx.span("refined", format!("head {h}"));
+        let mut delta = Counters {
+            heads_examined: 1,
+            ..Counters::default()
+        };
+        // Only *incremental* masked Tarjan passes count here; hypotheses the
+        // shared decomposition refutes outright cost zero runs.
+        let mut runs = 0usize;
+        let Some(component) = self.marked_search(&[h], None, &mut runs, &mut delta)? else {
+            delta.scc_runs = runs as u64;
+            return Ok((runs, None, delta)); // h certified
+        };
+        let single_task = component
+            .iter()
+            .all(|&n| sg.node(n).task == sg.node(h).task);
+        let flag = match self.opts.tier {
+            Tier::Heads => Some(FlaggedHead {
                 head: h,
                 partner: None,
                 component,
-            })
-        }
-        Tier::HeadPairs => confirm_with_second_head(
-            sg, pg, full, seq, cx, opts, h, &component, rescued, &mut runs, ctx, &mut delta,
-        )?
-        .map(|(h2, comp2)| FlaggedHead {
-            head: h,
-            partner: Some(h2),
-            component: comp2,
-        }),
-        Tier::HeadTails => confirm_with_tail(
-            sg, pg, full, seq, cx, opts, h, &component, rescued, &mut runs, ctx, &mut delta,
-        )?
-        .map(|(t, comp2)| FlaggedHead {
-            head: h,
-            partner: Some(t),
-            component: comp2,
-        }),
-    };
-    delta.scc_runs = runs as u64;
-    Ok((runs, flag, delta))
-}
-
-/// The marked SCC search shared by all tiers, answered incrementally
-/// against the shared full decomposition.
-///
-/// `heads` is the hypothesis set (1 or 2 heads). `tail` switches to the
-/// head–tail marking discipline (no `COACCEPT` marks; `NOT-COEXEC` of both
-/// `h` and the tail). Returns the sync-graph nodes of the strong component
-/// containing every required witness node, or `None` when the hypothesis
-/// dies.
-///
-/// The ban sets are sync-node-indexed bit rows unioned in whole 64-bit
-/// words from the precomputed [`SequenceInfo`]/[`CoexecInfo`] tables, then
-/// translated to a port-node mask. Because masking only ever *shrinks*
-/// components, a hypothesis whose witnesses sit in trivial or differing
-/// components of `full` is refuted with no Tarjan pass at all; otherwise
-/// one masked pass runs, restricted to the witnesses' shared component
-/// (`runs` counts exactly the masked passes actually performed).
-#[allow(clippy::too_many_arguments)]
-fn marked_search(
-    sg: &SyncGraph,
-    pg: &PortClg,
-    full: &Scc,
-    seq: &SequenceInfo,
-    cx: &CoexecInfo,
-    heads: &[usize],
-    tail: Option<usize>,
-    rescued: &[usize],
-    opts: &RefinedOptions,
-    ctx: &AnalysisCtx,
-    runs: &mut usize,
-    delta: &mut Counters,
-) -> Result<Option<Vec<usize>>, IwaError> {
-    let budget = ctx.budget();
-    // One checkpoint per marked search: the unit of work the paper's cost
-    // bound counts, and the step currency of the engine's rung budgets.
-    budget.checkpoint("refined marked SCC search")?;
-    budget.record_items(1);
-    let n = sg.num_nodes();
-    let mut sync_in_banned = BitSet::new(n);
-    let mut sync_out_banned = BitSet::new(n);
-    let mut do_not_enter = BitSet::new(n);
-
-    // Constraint-4 rescued nodes can never be WAITING on an anomalous
-    // wave, hence never be heads of any deadlock cycle.
-    for &t in rescued {
-        sync_in_banned.insert(t);
+            }),
+            _ if single_task => {
+                // A deadlock cycle may have a single head (self-coupling);
+                // pair/tail confirmation does not apply (footnote 6).
+                Some(FlaggedHead {
+                    head: h,
+                    partner: None,
+                    component,
+                })
+            }
+            Tier::HeadPairs => self
+                .confirm_with_second_head(h, &component, &mut runs, &mut delta)?
+                .map(|(h2, comp2)| FlaggedHead {
+                    head: h,
+                    partner: Some(h2),
+                    component: comp2,
+                }),
+            Tier::HeadTails => self
+                .confirm_with_tail(h, &component, &mut runs, &mut delta)?
+                .map(|(t, comp2)| FlaggedHead {
+                    head: h,
+                    partner: Some(t),
+                    component: comp2,
+                }),
+        };
+        delta.scc_runs = runs as u64;
+        Ok((runs, flag, delta))
     }
-    for &h in heads {
-        if opts.use_sequenceable {
-            if opts.paper_sequence_relation {
-                // Ablation path: the (unsound) literal relation has no
-                // precomputed rows; mark scalar.
-                for k in sg.rendezvous_nodes() {
-                    if !seq.paper_sequenceable(sg, h, k) {
-                        continue;
+
+    /// The marked SCC search shared by all tiers, answered incrementally
+    /// against the shared full decomposition.
+    ///
+    /// `heads` is the hypothesis set (1 or 2 heads). `tail` switches to the
+    /// head–tail marking discipline (no `COACCEPT` marks; `NOT-COEXEC` of
+    /// both `h` and the tail). Returns the sync-graph nodes of the strong
+    /// component containing every required witness node, or `None` when
+    /// the hypothesis dies.
+    ///
+    /// The ban sets are sync-node-indexed bit rows unioned in whole 64-bit
+    /// words from the precomputed [`SequenceInfo`]/[`CoexecInfo`] tables,
+    /// then translated to a port-node mask. Because masking only ever
+    /// *shrinks* components, a hypothesis whose witnesses sit in trivial or
+    /// differing components of `full` is refuted with no Tarjan pass at
+    /// all; otherwise one masked pass runs, restricted to the witnesses'
+    /// shared component (`runs` counts exactly the masked passes actually
+    /// performed).
+    fn marked_search(
+        &self,
+        heads: &[usize],
+        tail: Option<usize>,
+        runs: &mut usize,
+        delta: &mut Counters,
+    ) -> Result<Option<Vec<usize>>, IwaError> {
+        let (sg, pg, full, opts) = (self.sg, self.pg, self.full, self.opts);
+        let budget = self.ctx.budget();
+        // One checkpoint per marked search: the unit of work the paper's
+        // cost bound counts, and the step currency of the engine's rung
+        // budgets.
+        budget.checkpoint("refined marked SCC search")?;
+        budget.record_items(1);
+        let n = sg.num_nodes();
+        let mut sync_in_banned = BitSet::new(n);
+        let mut sync_out_banned = BitSet::new(n);
+        let mut do_not_enter = BitSet::new(n);
+
+        // Constraint-4 rescued nodes can never be WAITING on an anomalous
+        // wave, hence never be heads of any deadlock cycle.
+        for &t in self.rescued {
+            sync_in_banned.insert(t);
+        }
+        for &h in heads {
+            if opts.use_sequenceable {
+                if opts.paper_sequence_relation {
+                    // Ablation path: the (unsound) literal relation has no
+                    // precomputed rows; mark scalar.
+                    let finish = self
+                        .finish
+                        .expect("built when paper_sequence_relation is on");
+                    for k in sg.rendezvous_nodes() {
+                        if !finish.paper_sequenceable(sg, h, k) {
+                            continue;
+                        }
+                        delta.sequenceable_hits += 1;
+                        sync_in_banned.insert(k);
+                        if opts.strict_sequenceable_marking {
+                            sync_out_banned.insert(k);
+                        }
                     }
-                    delta.sequenceable_hits += 1;
-                    sync_in_banned.insert(k);
+                } else {
+                    let row = self.seq.wave_exclusive_row(h);
+                    delta.sequenceable_hits += row.count() as u64;
+                    sync_in_banned.union_with(row);
                     if opts.strict_sequenceable_marking {
-                        sync_out_banned.insert(k);
+                        sync_out_banned.union_with(row);
                     }
                 }
-            } else {
-                let row = seq.wave_exclusive_row(h);
-                delta.sequenceable_hits += row.count() as u64;
-                sync_in_banned.union_with(row);
-                if opts.strict_sequenceable_marking {
-                    sync_out_banned.union_with(row);
+            }
+            if opts.use_coaccept && tail.is_none() {
+                for k in sg.coaccept(h) {
+                    delta.coaccept_hits += 1;
+                    sync_in_banned.insert(k);
+                    sync_out_banned.insert(k);
                 }
             }
-        }
-        if opts.use_coaccept && tail.is_none() {
-            for k in sg.coaccept(h) {
-                delta.coaccept_hits += 1;
-                sync_in_banned.insert(k);
-                sync_out_banned.insert(k);
+            if opts.use_not_coexec {
+                let row = self.cx.not_coexec_row(h);
+                delta.not_coexec_hits += row.count() as u64;
+                do_not_enter.union_with(row);
             }
         }
-        if opts.use_not_coexec {
-            let row = cx.not_coexec_row(h);
-            delta.not_coexec_hits += row.count() as u64;
-            do_not_enter.union_with(row);
+        if let Some(t) = tail {
+            if opts.use_not_coexec {
+                let row = self.cx.not_coexec_row(t);
+                delta.not_coexec_hits += row.count() as u64;
+                do_not_enter.union_with(row);
+            }
         }
-    }
-    if let Some(t) = tail {
-        if opts.use_not_coexec {
-            let row = cx.not_coexec_row(t);
-            delta.not_coexec_hits += row.count() as u64;
-            do_not_enter.union_with(row);
+        // The hypothesis nodes themselves must stay searchable.
+        for &h in heads {
+            sync_in_banned.remove(h);
+            do_not_enter.remove(h);
         }
-    }
-    // The hypothesis nodes themselves must stay searchable.
-    for &h in heads {
-        sync_in_banned.remove(h);
-        do_not_enter.remove(h);
-    }
-    if let Some(t) = tail {
-        sync_out_banned.remove(t);
-        do_not_enter.remove(t);
+        if let Some(t) = tail {
+            sync_out_banned.remove(t);
+            do_not_enter.remove(t);
+        }
+
+        // Every witness must sit in one common non-trivial component —
+        // first of the *shared* decomposition (free refutation), then of
+        // the masked one.
+        let mut witnesses: Vec<usize> = heads.iter().map(|&h| pg.in_node(h)).collect();
+        if let Some(t) = tail {
+            witnesses.push(pg.out_node(t));
+        }
+        let first = witnesses[0];
+        let full_comp = full.component_of(first);
+        // The port CLG has no self-loops, so non-trivial ⇔ >1 member.
+        if full.members[full_comp].len() <= 1 {
+            return Ok(None);
+        }
+        if !witnesses.iter().all(|&w| full.same_component(first, w)) {
+            return Ok(None);
+        }
+
+        // Mask = the witnesses' shared component minus the banned ports.
+        let mut mask = BitSet::new(pg.num_nodes());
+        for &m in &full.members[full_comp] {
+            mask.insert(m as usize);
+        }
+        for k in do_not_enter.iter_ones() {
+            mask.remove(pg.out_node(k));
+            mask.remove(pg.in_node(k));
+            mask.remove(pg.sync_out_port(k));
+            mask.remove(pg.sync_in_port(k));
+        }
+        for k in sync_in_banned.iter_ones() {
+            mask.remove(pg.sync_in_port(k));
+        }
+        for k in sync_out_banned.iter_ones() {
+            mask.remove(pg.sync_out_port(k));
+        }
+        *runs += 1;
+        let scc = Scc::compute(&pg.graph, Some(&mask));
+
+        if scc.members[scc.component_of(first)].len() <= 1 {
+            return Ok(None);
+        }
+        if !witnesses.iter().all(|&w| scc.same_component(first, w)) {
+            return Ok(None);
+        }
+        let comp_id = scc.component_of(first);
+        let mut sync_nodes: Vec<usize> = scc.members[comp_id]
+            .iter()
+            .map(|&m| pg.sync_node_of(m as usize))
+            .filter(|&n| sg.is_rendezvous(n))
+            .collect();
+        sync_nodes.sort_unstable();
+        sync_nodes.dedup();
+        Ok(Some(sync_nodes))
     }
 
-    // Every witness must sit in one common non-trivial component — first
-    // of the *shared* decomposition (free refutation), then of the masked
-    // one.
-    let mut witnesses: Vec<usize> = heads.iter().map(|&h| pg.in_node(h)).collect();
-    if let Some(t) = tail {
-        witnesses.push(pg.out_node(t));
-    }
-    let first = witnesses[0];
-    let full_comp = full.component_of(first);
-    // The port CLG has no self-loops, so non-trivial ⇔ >1 member.
-    if full.members[full_comp].len() <= 1 {
-        return Ok(None);
-    }
-    if !witnesses.iter().all(|&w| full.same_component(first, w)) {
-        return Ok(None);
+    /// Head-pair confirmation: some second head in `component` must survive
+    /// a jointly marked search together with `h`.
+    fn confirm_with_second_head(
+        &self,
+        h: usize,
+        component: &[usize],
+        runs: &mut usize,
+        delta: &mut Counters,
+    ) -> Result<Option<(usize, Vec<usize>)>, IwaError> {
+        let sg = self.sg;
+        let poss: Vec<usize> = sg.poss_heads();
+        for &h2 in component {
+            self.ctx
+                .budget()
+                .checkpoint("head-pair confirmation candidates")?;
+            if h2 == h || !poss.contains(&h2) || self.rescued.contains(&h2) {
+                continue;
+            }
+            // Constraint 2: heads must not rendezvous with each other.
+            if sg.has_sync_edge(h, h2) {
+                continue;
+            }
+            // Constraint 3a/3b on the pair itself.
+            if self.seq.wave_exclusive(sg, h, h2) || self.cx.not_coexec(sg, h, h2) {
+                continue;
+            }
+            if let Some(comp2) = self.marked_search(&[h, h2], None, runs, delta)? {
+                return Ok(Some((h2, comp2)));
+            }
+        }
+        Ok(None)
     }
 
-    // Mask = the witnesses' shared component minus the banned ports.
-    let mut mask = BitSet::new(pg.num_nodes());
-    for &m in &full.members[full_comp] {
-        mask.insert(m as usize);
-    }
-    for k in do_not_enter.iter_ones() {
-        mask.remove(pg.out_node(k));
-        mask.remove(pg.in_node(k));
-        mask.remove(pg.sync_out_port(k));
-        mask.remove(pg.sync_in_port(k));
-    }
-    for k in sync_in_banned.iter_ones() {
-        mask.remove(pg.sync_in_port(k));
-    }
-    for k in sync_out_banned.iter_ones() {
-        mask.remove(pg.sync_out_port(k));
-    }
-    *runs += 1;
-    let scc = Scc::compute(&pg.graph, Some(&mask));
-
-    if scc.members[scc.component_of(first)].len() <= 1 {
-        return Ok(None);
-    }
-    if !witnesses.iter().all(|&w| scc.same_component(first, w)) {
-        return Ok(None);
-    }
-    let comp_id = scc.component_of(first);
-    let mut sync_nodes: Vec<usize> = scc.members[comp_id]
-        .iter()
-        .map(|&m| pg.sync_node_of(m as usize))
-        .filter(|&n| sg.is_rendezvous(n))
-        .collect();
-    sync_nodes.sort_unstable();
-    sync_nodes.dedup();
-    Ok(Some(sync_nodes))
-}
-
-/// Head-pair confirmation: some second head in `component` must survive a
-/// jointly marked search together with `h`.
-#[allow(clippy::too_many_arguments)]
-fn confirm_with_second_head(
-    sg: &SyncGraph,
-    pg: &PortClg,
-    full: &Scc,
-    seq: &SequenceInfo,
-    cx: &CoexecInfo,
-    opts: &RefinedOptions,
-    h: usize,
-    component: &[usize],
-    rescued: &[usize],
-    runs: &mut usize,
-    ctx: &AnalysisCtx,
-    delta: &mut Counters,
-) -> Result<Option<(usize, Vec<usize>)>, IwaError> {
-    let poss: Vec<usize> = sg.poss_heads();
-    for &h2 in component {
-        ctx.budget().checkpoint("head-pair confirmation candidates")?;
-        if h2 == h || !poss.contains(&h2) || rescued.contains(&h2) {
-            continue;
+    /// Head–tail confirmation: some control descendant of `h` must survive
+    /// as the task's exit point.
+    fn confirm_with_tail(
+        &self,
+        h: usize,
+        component: &[usize],
+        runs: &mut usize,
+        delta: &mut Counters,
+    ) -> Result<Option<(usize, Vec<usize>)>, IwaError> {
+        let sg = self.sg;
+        let coaccept = sg.coaccept(h);
+        // Strict control descendants of h (within its task).
+        let mut descendants = BitSet::new(sg.num_nodes());
+        for &v in sg.control.successors(h) {
+            let v = v as usize;
+            if sg.is_rendezvous(v) {
+                descendants.union_with(&sg.control.reachable_from(v));
+            }
         }
-        // Constraint 2: heads must not rendezvous with each other.
-        if sg.has_sync_edge(h, h2) {
-            continue;
+        for t in sg.rendezvous_nodes() {
+            self.ctx
+                .budget()
+                .checkpoint("head-tail confirmation candidates")?;
+            if !descendants.contains(t) || !component.contains(&t) {
+                continue;
+            }
+            if sg.sync_neighbors(t).is_empty() {
+                continue; // a tail must leave via a sync edge
+            }
+            if coaccept.contains(&t) || self.cx.not_coexec(sg, h, t) {
+                continue; // paper's eligibility conditions
+            }
+            if let Some(comp2) = self.marked_search(&[h], Some(t), runs, delta)? {
+                return Ok(Some((t, comp2)));
+            }
         }
-        // Constraint 3a/3b on the pair itself.
-        if seq.wave_exclusive(sg, h, h2) || cx.not_coexec(sg, h, h2) {
-            continue;
-        }
-        if let Some(comp2) = marked_search(
-            sg, pg, full, seq, cx, &[h, h2], None, rescued, opts, ctx, runs, delta,
-        )? {
-            return Ok(Some((h2, comp2)));
-        }
+        Ok(None)
     }
-    Ok(None)
-}
-
-/// Head–tail confirmation: some control descendant of `h` must survive as
-/// the task's exit point.
-#[allow(clippy::too_many_arguments)]
-fn confirm_with_tail(
-    sg: &SyncGraph,
-    pg: &PortClg,
-    full: &Scc,
-    seq: &SequenceInfo,
-    cx: &CoexecInfo,
-    opts: &RefinedOptions,
-    h: usize,
-    component: &[usize],
-    rescued: &[usize],
-    runs: &mut usize,
-    ctx: &AnalysisCtx,
-    delta: &mut Counters,
-) -> Result<Option<(usize, Vec<usize>)>, IwaError> {
-    let coaccept = sg.coaccept(h);
-    // Strict control descendants of h (within its task).
-    let mut descendants = BitSet::new(sg.num_nodes());
-    for &v in sg.control.successors(h) {
-        let v = v as usize;
-        if sg.is_rendezvous(v) {
-            descendants.union_with(&sg.control.reachable_from(v));
-        }
-    }
-    for t in sg.rendezvous_nodes() {
-        ctx.budget().checkpoint("head-tail confirmation candidates")?;
-        if !descendants.contains(t) || !component.contains(&t) {
-            continue;
-        }
-        if sg.sync_neighbors(t).is_empty() {
-            continue; // a tail must leave via a sync edge
-        }
-        if coaccept.contains(&t) || cx.not_coexec(sg, h, t) {
-            continue; // paper's eligibility conditions
-        }
-        if let Some(comp2) = marked_search(
-            sg, pg, full, seq, cx, &[h], Some(t), rescued, opts, ctx, runs, delta,
-        )? {
-            return Ok(Some((t, comp2)));
-        }
-    }
-    Ok(None)
 }
 
 /// Constraint-4 rescue set (see [`RefinedOptions::apply_constraint4`]).
@@ -694,7 +700,7 @@ fn confirm_with_tail(
 /// first-node options, and a task that *may* start elsewhere — or slip
 /// straight to `e` — guarantees nothing. The safety fuzzer caught exactly
 /// this on an unrolled loop whose body could be skipped.
-fn constraint4_rescued(sg: &SyncGraph, seq: &SequenceInfo) -> Vec<usize> {
+fn constraint4_rescued(sg: &SyncGraph, finish: &FinishOrder) -> Vec<usize> {
     use iwa_syncgraph::B;
     // Per task: its starting options (control successors of b).
     let mut starts: Vec<Vec<usize>> = vec![Vec::new(); sg.num_tasks];
@@ -719,7 +725,7 @@ fn constraint4_rescued(sg: &SyncGraph, seq: &SequenceInfo) -> Vec<usize> {
                 && sg
                     .sync_neighbors(w)
                     .iter()
-                    .all(|&q| q as usize == t || seq.finishes_before(t, q as usize))
+                    .all(|&q| q as usize == t || finish.finishes_before(t, q as usize))
         });
         if found {
             rescued.push(t);

@@ -32,14 +32,21 @@
 //! Two nodes of the *same* task are always wave-exclusive (a wave holds one
 //! node per task), which additionally enforces deadlock-cycle constraint 1c
 //! for the hypothesised head's task.
+//!
+//! [`SequenceInfo::compute`] solves the fixpoint column by column — `X(·, b)`
+//! for every `a` at once — with 64-lane [`BitSet`] intersections and
+//! unions. The paper's literal finish-before-start relation, a costlier
+//! closure over `X`, is the separate [`FinishOrder`], built only by the
+//! analyses that read it.
 
-use iwa_graphs::{BitMatrix, BitSet};
+use iwa_graphs::{BitMatrix, BitSet, Dominators};
 use iwa_syncgraph::{SyncGraph, B};
 
-/// The computed ordering information.
+/// The wave-order relation `X` and the refined algorithm's
+/// `SEQUENCEABLE[h]` rows derived from it.
 ///
-/// Two distinct relations are provided, because the paper's single word
-/// "sequenceable" covers two semantically different orders:
+/// The paper's single word "sequenceable" covers two semantically
+/// different orders:
 ///
 /// * [`executed_before`](SequenceInfo::executed_before) /
 ///   [`wave_exclusive`](SequenceInfo::wave_exclusive) — **wave exclusion**:
@@ -47,12 +54,14 @@ use iwa_syncgraph::{SyncGraph, B};
 ///   relation the *refined algorithm's marking* needs: two wave-exclusive
 ///   nodes cannot both be deadlock heads. It is the only sound choice
 ///   there — see below.
-/// * [`finishes_before`](SequenceInfo::finishes_before) — the paper's
-///   literal reading, *"one must always finish executing before the other
-///   starts"*: in every execution in which `b` fires, `a` fired strictly
-///   earlier. This is the relation the **Theorem 2 construction** relies
-///   on (its ordering tasks force exactly such orderings), so the exact
-///   checker uses it when validating that reduction.
+/// * [`FinishOrder::finishes_before`] — the paper's literal reading, *"one
+///   must always finish executing before the other starts"*: in every
+///   execution in which `b` fires, `a` fired strictly earlier. This is the
+///   relation the **Theorem 2 construction** relies on (its ordering tasks
+///   force exactly such orderings), so the exact checker uses it when
+///   validating that reduction. It is a closure over `X` and costs far
+///   more, so it lives in its own type, built only by the few consumers
+///   that read it.
 ///
 /// **Contract: acyclic control flow.** Both relations are consumed after
 /// Lemma-1 unrolling. On graphs *with* control cycles, `executed_before`
@@ -71,91 +80,184 @@ use iwa_syncgraph::{SyncGraph, B};
 /// Theorem-2 ordering-task detours.
 #[derive(Clone, Debug)]
 pub struct SequenceInfo {
-    /// `executed_before.get(a, b)` ⇔ `X(a, b)` above. Indexed by sync-graph
-    /// node (rows/columns `0`/`1` — `b`/`e` — unused).
-    executed_before: BitMatrix,
-    /// `finishes_before.get(a, b)` ⇔ `S(a, b)`: every execution firing `b`
-    /// fired `a` strictly earlier.
-    finishes_before: BitMatrix,
+    /// `before[b]` is the column `X(·, b)`: every `a` with
+    /// `executed_before(a, b)`. Indexed by sync-graph node (`b`/`e` — `0`
+    /// and `1` — stay empty).
+    before: Vec<BitSet>,
     /// Precomputed wave-exclusion rows: `excl[h]` = all nodes wave-exclusive
-    /// with `h` (`X` row ∪ `Xᵀ` row ∪ same-task nodes, minus `h`). The
+    /// with `h` (`X` row ∪ `X` column ∪ same-task nodes, minus `h`). The
     /// refined algorithm's `SEQUENCEABLE[h]` marking consumes whole rows at
     /// once, so they are materialised here as 64-lane word sets instead of
     /// being re-derived scalar-by-scalar per head hypothesis.
     excl: Vec<BitSet>,
-    num_nodes: usize,
 }
 
 impl SequenceInfo {
     /// Run the fixpoint on `sg`.
     ///
-    /// Cost: each of the `N` rows is an independent fixpoint over the
-    /// control and sync edges, `O(N · I · (|E_C| + |E_S|))` with `I` small
-    /// in practice — comfortably inside the paper's polynomial budget.
+    /// The fixpoint is solved one **column** per node, for every `a` at
+    /// once, with 64-lane word operations:
+    ///
+    /// * `X(·, b) = ⋂_{p ∈ preds(b)} Y(·, p) \ {b}` (empty when `b` is
+    ///   initial);
+    /// * `Y(·, p) = {p} ∪ X(·, p) ∪ ⋂_{q ∈ partners(p)} ({q} ∪ X(·, q))`,
+    ///   the last term only when `p` has partners.
+    ///
+    /// Plain sweeps in node order repeat until no column grows. A sweep
+    /// does `1 + |partners(p)|` set operations of `N/64` words per control
+    /// edge `p → b`. Most graphs settle in two or three sweeps; a ring of
+    /// waits needs about one sweep per position on the ring (129 for the
+    /// 128-process `chan_ring`) — comfortably inside the paper's
+    /// polynomial budget. The finish-before-start relation is not built
+    /// here (see [`FinishOrder`]).
     #[must_use]
     pub fn compute(sg: &SyncGraph) -> SequenceInfo {
         let n = sg.num_nodes();
-        let mut x = BitMatrix::new(n, n);
-
-        // Precompute control predecessors (within tasks; B marks "initial")
-        // and sync partner lists.
-        let preds: Vec<Vec<usize>> = (0..n)
-            .map(|b| {
-                sg.control
-                    .predecessors(b)
-                    .iter()
-                    .map(|&p| p as usize)
-                    .collect()
+        let mut before = vec![BitSet::new(n); n];
+        // Initial (or unreachable) nodes are never preceded: only nodes
+        // whose control predecessors are all rendezvous nodes can gain bits.
+        let targets: Vec<usize> = sg
+            .rendezvous_nodes()
+            .filter(|&b| {
+                let ps = sg.control.predecessors(b);
+                !ps.is_empty() && !ps.contains(&(B as u32))
             })
             .collect();
-
-        for a in sg.rendezvous_nodes() {
-            // Fixpoint for row `a`: X(a, ·).
-            loop {
-                let mut changed = false;
-                for b in sg.rendezvous_nodes() {
-                    if b == a || x.get(a, b) {
-                        continue;
-                    }
-                    let ps = &preds[b];
-                    if ps.is_empty() || ps.contains(&B) {
-                        continue; // initial or unreachable: never excluded
-                    }
-                    let all = ps.iter().all(|&p| {
-                        // Y(a, p)
-                        if p == a || x.get(a, p) {
-                            return true;
+        let mut col = BitSet::new(n);
+        let mut y = BitSet::new(n);
+        let mut meet = BitSet::new(n);
+        loop {
+            let mut changed = false;
+            for &b in &targets {
+                for (i, &p) in sg.control.predecessors(b).iter().enumerate() {
+                    let p = p as usize;
+                    // Y(·, p), assembled in `y`.
+                    y.copy_from(&before[p]);
+                    y.insert(p);
+                    if let Some((&q0, rest)) = sg.sync_neighbors(p).split_first() {
+                        meet.copy_from(&before[q0 as usize]);
+                        meet.insert(q0 as usize);
+                        for &q in rest {
+                            // meet ∩= {q} ∪ X(·, q)
+                            let q = q as usize;
+                            let keep = meet.contains(q);
+                            meet.intersect_with(&before[q]);
+                            if keep {
+                                meet.insert(q);
+                            }
                         }
-                        let partners = sg.sync_neighbors(p);
-                        !partners.is_empty()
-                            && partners
-                                .iter()
-                                .all(|&q| q as usize == a || x.get(a, q as usize))
-                    });
-                    if all {
-                        x.set(a, b);
-                        changed = true;
+                        y.union_with(&meet);
+                    }
+                    if i == 0 {
+                        col.copy_from(&y);
+                    } else {
+                        col.intersect_with(&y);
                     }
                 }
-                if !changed {
-                    break;
-                }
+                col.remove(b);
+                // Columns only grow from the empty start (the equations are
+                // monotone), so a union is the update.
+                changed |= before[b].union_with(&col);
+            }
+            if !changed {
+                break;
             }
         }
-        // --- The finish-before-start relation S ---------------------------
-        // Least fixpoint of:
-        //   S(a,b) if a strictly dominates b in b's task (firing b implies
-        //          the task already fired a);
-        //   S(a,b) if X(a,b) (executed before b even waves);
-        //   S(a,b) if b has >=1 partner and all partners q have S(a,q)
-        //          (b fires simultaneously with one of them);
-        //   S transitively closed.
-        let mut s = x.clone();
+
+        // Materialise the wave-exclusion rows: each column plus its
+        // transpose, plus the node's own task.
+        let mut excl = before.clone();
+        for (b, col) in before.iter().enumerate() {
+            for a in col.iter_ones() {
+                excl[a].insert(b);
+            }
+        }
+        for t in 0..sg.num_tasks {
+            let task = iwa_core::TaskId(t as u32);
+            let mut mask = BitSet::new(n);
+            for &v in sg.nodes_of_task(task) {
+                mask.insert(v as usize);
+            }
+            for &v in sg.nodes_of_task(task) {
+                excl[v as usize].union_with(&mask);
+            }
+        }
+        for (a, row) in excl.iter_mut().enumerate() {
+            row.remove(a); // irreflexive
+        }
+
+        SequenceInfo { before, excl }
+    }
+
+    /// Must `a` be executed (past) whenever `b` is on the wave?
+    #[must_use]
+    pub fn executed_before(&self, a: usize, b: usize) -> bool {
+        self.before[b].contains(a)
+    }
+
+    /// Can `a` and `b` never be on an execution wave simultaneously?
+    ///
+    /// True when either order is forced, or when they belong to the same
+    /// task (a wave holds exactly one node per task). This is the
+    /// `SEQUENCEABLE` test of the refined algorithm.
+    #[must_use]
+    pub fn wave_exclusive(&self, sg: &SyncGraph, a: usize, b: usize) -> bool {
+        if a == b {
+            return false;
+        }
+        if sg.node(a).task == sg.node(b).task {
+            return true;
+        }
+        self.executed_before(a, b) || self.executed_before(b, a)
+    }
+
+    /// `SEQUENCEABLE[h]` as a precomputed bit row (all nodes wave-exclusive
+    /// with `h`), ready for whole-row union into a ban set.
+    #[must_use]
+    pub fn wave_exclusive_row(&self, h: usize) -> &BitSet {
+        &self.excl[h]
+    }
+}
+
+/// The paper's literal finish-before-start relation `S`: `a` fires strictly
+/// before `b` in every execution that fires `b`.
+///
+/// Only the constraint-4 rescue, the `paper_sequence_relation` ablation,
+/// and the exact checker's [`SeqRelation::FinishBeforeStart`](crate::SeqRelation)
+/// read it, so it is built on demand from a [`SequenceInfo`] rather than on
+/// every analysis.
+#[derive(Clone, Debug)]
+pub struct FinishOrder {
+    /// `s.get(a, b)` ⇔ `S(a, b)`.
+    s: BitMatrix,
+}
+
+impl FinishOrder {
+    /// Close `seq`'s wave order into `S`: the least fixpoint of
+    ///
+    /// * `S(a, b)` if `a` strictly dominates `b` in `b`'s task (firing `b`
+    ///   implies the task already fired `a`);
+    /// * `S(a, b)` if `X(a, b)` (executed before `b` even waves);
+    /// * `S(a, b)` if `b` has at least one partner and every partner `q`
+    ///   has `S(a, q)` (`b` fires simultaneously with one of them);
+    /// * `S` transitively closed.
+    ///
+    /// Cost: each round is a scalar partner sweep plus a row-OR transitive
+    /// closure over an `N×N` [`BitMatrix`], repeated until stable.
+    #[must_use]
+    pub fn compute(sg: &SyncGraph, seq: &SequenceInfo) -> FinishOrder {
+        let n = sg.num_nodes();
+        let mut s = BitMatrix::new(n, n);
+        for (b, col) in seq.before.iter().enumerate() {
+            for a in col.iter_ones() {
+                s.set(a, b);
+            }
+        }
         // Dominance seeds, per task.
         for t in 0..sg.num_tasks {
             let task = iwa_core::TaskId(t as u32);
             let view = sg.task_control_view(task);
-            let dom = iwa_graphs::Dominators::compute(&view, B);
+            let dom = Dominators::compute(&view, B);
             let nodes = sg.nodes_of_task(task);
             for &a in nodes {
                 for &b in nodes {
@@ -198,49 +300,14 @@ impl SequenceInfo {
         for a in 0..n {
             s.unset(a, a);
         }
-
-        // Materialise the wave-exclusion rows from the X fixpoint.
-        let mut excl: Vec<BitSet> = vec![BitSet::new(n); n];
-        for a in sg.rendezvous_nodes() {
-            let row = x.row(a);
-            for b in row.iter_ones() {
-                excl[b].insert(a); // transpose contribution
-            }
-            excl[a].union_with(&row);
-        }
-        for t in 0..sg.num_tasks {
-            let task = iwa_core::TaskId(t as u32);
-            let mut mask = BitSet::new(n);
-            for &v in sg.nodes_of_task(task) {
-                mask.insert(v as usize);
-            }
-            for &v in sg.nodes_of_task(task) {
-                excl[v as usize].union_with(&mask);
-            }
-        }
-        for (a, row) in excl.iter_mut().enumerate() {
-            row.remove(a); // irreflexive
-        }
-
-        SequenceInfo {
-            executed_before: x,
-            finishes_before: s,
-            excl,
-            num_nodes: n,
-        }
-    }
-
-    /// Must `a` be executed (past) whenever `b` is on the wave?
-    #[must_use]
-    pub fn executed_before(&self, a: usize, b: usize) -> bool {
-        self.executed_before.get(a, b)
+        FinishOrder { s }
     }
 
     /// Does `a` fire strictly before `b` in every execution that fires `b`
     /// (the paper's literal "finish before the other starts")?
     #[must_use]
     pub fn finishes_before(&self, a: usize, b: usize) -> bool {
-        self.finishes_before.get(a, b)
+        self.s.get(a, b)
     }
 
     /// The paper's literal sequenceable relation: ordered one way or the
@@ -253,45 +320,7 @@ impl SequenceInfo {
         if sg.node(a).task == sg.node(b).task {
             return true;
         }
-        self.finishes_before.get(a, b) || self.finishes_before.get(b, a)
-    }
-
-    /// Can `a` and `b` never be on an execution wave simultaneously?
-    ///
-    /// True when either order is forced, or when they belong to the same
-    /// task (a wave holds exactly one node per task). This is the
-    /// `SEQUENCEABLE` test of the refined algorithm.
-    #[must_use]
-    pub fn wave_exclusive(&self, sg: &SyncGraph, a: usize, b: usize) -> bool {
-        if a == b {
-            return false;
-        }
-        if sg.node(a).task == sg.node(b).task {
-            return true;
-        }
-        self.executed_before.get(a, b) || self.executed_before.get(b, a)
-    }
-
-    /// `SEQUENCEABLE[h]` as a precomputed bit row (all nodes wave-exclusive
-    /// with `h`), ready for whole-row union into a ban set.
-    #[must_use]
-    pub fn wave_exclusive_row(&self, h: usize) -> &BitSet {
-        &self.excl[h]
-    }
-
-    /// `SEQUENCEABLE[h]`: all nodes wave-exclusive with `h`.
-    #[must_use]
-    pub fn sequenceable_with(&self, sg: &SyncGraph, h: usize) -> Vec<usize> {
-        let _ = sg;
-        self.excl[h].to_vec()
-    }
-
-    /// Number of ordered pairs derived (diagnostic).
-    #[must_use]
-    pub fn num_ordered_pairs(&self) -> usize {
-        (0..self.num_nodes)
-            .map(|r| self.executed_before.row_count(r))
-            .sum()
+        self.finishes_before(a, b) || self.finishes_before(b, a)
     }
 }
 
@@ -304,6 +333,12 @@ mod tests {
         let sg = SyncGraph::from_program(&parse(src).unwrap());
         let seq = SequenceInfo::compute(&sg);
         (sg, seq)
+    }
+
+    fn finish(src: &str) -> (SyncGraph, SequenceInfo, FinishOrder) {
+        let (sg, seq) = info(src);
+        let fo = FinishOrder::compute(&sg, &seq);
+        (sg, seq, fo)
     }
 
     #[test]
@@ -417,15 +452,15 @@ mod tests {
         // are finish-before-start ordered (each can only fire after the
         // other's accept waved, hence after the other send fired)… yet they
         // wave together in the deadlock.
-        let (sg, seq) = info(
+        let (sg, seq, fo) = finish(
             "task t1 { send t2.a as sa; accept b as rb; }
              task t2 { send t1.b as sb; accept a as ra; }",
         );
         let sa = sg.node_by_label("sa").unwrap();
         let sb = sg.node_by_label("sb").unwrap();
-        assert!(seq.finishes_before(sa, sb), "sb fires only after sa fired");
-        assert!(seq.finishes_before(sb, sa), "and symmetrically");
-        assert!(seq.paper_sequenceable(&sg, sa, sb));
+        assert!(fo.finishes_before(sa, sb), "sb fires only after sa fired");
+        assert!(fo.finishes_before(sb, sa), "and symmetrically");
+        assert!(fo.paper_sequenceable(&sg, sa, sb));
         assert!(
             !seq.wave_exclusive(&sg, sa, sb),
             "but they CAN wave together (and deadlock)"
@@ -434,17 +469,17 @@ mod tests {
 
     #[test]
     fn finish_before_start_includes_dominance_and_wave_order() {
-        let (sg, seq) = info(
+        let (sg, _, fo) = finish(
             "task t1 { send t2.a as s1; send t2.b as s2; }
              task t2 { accept a as r1; accept b as r2; }",
         );
         let s1 = sg.node_by_label("s1").unwrap();
         let s2 = sg.node_by_label("s2").unwrap();
         let r2 = sg.node_by_label("r2").unwrap();
-        assert!(seq.finishes_before(s1, s2), "dominance seed");
-        assert!(seq.finishes_before(s1, r2), "X ⊆ S");
-        assert!(!seq.finishes_before(s2, s1));
-        assert!(!seq.finishes_before(s1, s1), "irreflexive");
+        assert!(fo.finishes_before(s1, s2), "dominance seed");
+        assert!(fo.finishes_before(s1, r2), "X ⊆ S");
+        assert!(!fo.finishes_before(s2, s1));
+        assert!(!fo.finishes_before(s1, s1), "irreflexive");
     }
 
     #[test]
@@ -452,7 +487,7 @@ mod tests {
         // s1 < r1 (partner rule: r1's only partner is... r1 fires WITH s1 —
         // not strictly before). Check a genuine chain instead: s1 < s2
         // (dominance), all partners of r2 = {s2}, so s1 < r2.
-        let (sg, seq) = info(
+        let (sg, _, fo) = finish(
             "task t1 { send t2.a as s1; send t2.b as s2; }
              task t2 { accept a as r1; accept b as r2; }
              task t3 { accept c as r3; }
@@ -462,14 +497,14 @@ mod tests {
         let r1 = sg.node_by_label("r1").unwrap();
         let r2 = sg.node_by_label("r2").unwrap();
         assert!(
-            !seq.finishes_before(s1, r1),
+            !fo.finishes_before(s1, r1),
             "a node does not fire strictly before its own rendezvous partner"
         );
-        assert!(seq.finishes_before(s1, r2));
+        assert!(fo.finishes_before(s1, r2));
         let s3 = sg.node_by_label("s3").unwrap();
         let r3 = sg.node_by_label("r3").unwrap();
-        assert!(!seq.finishes_before(s3, r3));
-        assert!(!seq.finishes_before(r2, s3), "independent tasks unordered");
+        assert!(!fo.finishes_before(s3, r3));
+        assert!(!fo.finishes_before(r2, s3), "independent tasks unordered");
     }
 
     #[test]

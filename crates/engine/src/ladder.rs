@@ -502,9 +502,15 @@ fn run_rung(
                 .flagged
                 .iter()
                 .map(|h| {
-                    let mut s = format!("potential deadlock: head {}", node_name(p, h.head));
+                    let mut s = format!(
+                        "potential deadlock: head {}",
+                        describe_node(&cert.sg, h.head)
+                    );
                     if let Some(partner) = h.partner {
-                        s.push_str(&format!(" confirmed by {}", node_name(p, partner)));
+                        s.push_str(&format!(
+                            " confirmed by {}",
+                            describe_node(&cert.sg, partner)
+                        ));
                     }
                     s.push_str(&format!(" ({} nodes in the witness component)", h.component.len()));
                     s
@@ -765,19 +771,6 @@ fn naive_floor(p: &Program, metrics: &Metrics) -> (EngineVerdict, Vec<String>) {
         EngineVerdict::Unknown
     };
     (verdict, flagged)
-}
-
-fn node_name(p: &Program, node: usize) -> String {
-    // Rungs below the oracle report nodes of the *unrolled* graph, whose
-    // indices do not map back to `p`'s own graph — rebuilding that graph
-    // here just for names would repeat the certify pipeline, so fall back
-    // to the bare index when it is out of range.
-    let sg = SyncGraph::from_program(p);
-    if node < sg.num_nodes() {
-        describe_node(&sg, node)
-    } else {
-        format!("node {node}")
-    }
 }
 
 fn describe_node(sg: &SyncGraph, node: usize) -> String {

@@ -45,6 +45,47 @@ fn oracle_flags_the_crossed_deadlock() {
     );
 }
 
+#[test]
+fn refined_rungs_name_heads_from_the_unrolled_graph_they_analysed() {
+    // Loopy: the refined rungs analyse the Lemma-1 unrolled graph, whose
+    // node indices (and `~2` copies) do not exist in the program's own
+    // graph. t3's accept sits on no cycle.
+    let p = parse(
+        "task t1 { send t3.x as sx; while { send t2.a as sa; accept b as rb; } }
+         task t2 { while { send t1.b as sb; accept a as ra; } }
+         task t3 { accept x as ax; }",
+    )
+    .unwrap();
+    for start in [Rung::Heads, Rung::HeadPairs, Rung::HeadTails] {
+        let r = analyze(
+            &p,
+            &EngineOptions {
+                start,
+                ..EngineOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(r.rung, start);
+        let heads: Vec<&String> = r
+            .flagged
+            .iter()
+            .filter(|f| f.starts_with("potential deadlock: head "))
+            .collect();
+        assert!(!heads.is_empty(), "{start}: flagged {:?}", r.flagged);
+        for f in heads {
+            let head = f["potential deadlock: head ".len()..]
+                .split(' ')
+                .next()
+                .unwrap();
+            assert!(
+                head.starts_with("t1:") || head.starts_with("t2:"),
+                "{start}: {f}"
+            );
+            assert!(!f.contains("node "), "{start}: bare index in {f}");
+        }
+    }
+}
+
 /// Measure what each budgeted rung costs (in cooperative checkpoints) on
 /// the workload the ladder tests run against.
 fn rung_costs(p: &iwa_tasklang::Program) -> Vec<(Rung, u64)> {

@@ -1,10 +1,12 @@
 //! Dense bit sets and bit matrices.
 //!
 //! These back the hot inner loops of the analyses: reachability frontiers,
-//! the `precedes` relation of the sequenceability dataflow (an `N×N`
-//! [`BitMatrix`] closed with row-OR operations), and the co-executability
-//! table. Words are `u64`; all operations are branch-light and allocation is
-//! up-front.
+//! the wave-order dataflow of the sequenceability analysis (one [`BitSet`]
+//! column per node, each updated 64 nodes per word with intersections and
+//! unions), the finish-before-start relation (an `N×N`
+//! [`BitMatrix`] closed with row-OR operations, built only where it is
+//! read), and the co-executability table. Words are `u64`; all operations
+//! are branch-light and allocation is up-front.
 
 /// A fixed-capacity dense set of `usize` values `0..len`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
@@ -86,6 +88,14 @@ impl BitSet {
     /// Remove all elements.
     pub fn clear(&mut self) {
         self.words.fill(0);
+    }
+
+    /// `self = other`, reusing `self`'s storage.
+    ///
+    /// Panics if the universes differ.
+    pub fn copy_from(&mut self, other: &BitSet) {
+        assert_eq!(self.len, other.len, "bitset universe mismatch");
+        self.words.copy_from_slice(&other.words);
     }
 
     /// `self ∪= other`; returns `true` if `self` changed.
@@ -384,6 +394,17 @@ mod tests {
         assert_eq!(s.count(), 67);
         s.clear();
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn copy_from_overwrites_in_place() {
+        let mut a = BitSet::new(130);
+        a.insert(3);
+        let mut b = BitSet::new(130);
+        b.insert(64);
+        b.insert(129);
+        a.copy_from(&b);
+        assert_eq!(a, b);
     }
 
     #[test]

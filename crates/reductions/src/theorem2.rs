@@ -278,14 +278,15 @@ mod tests {
         let p = theorem2_program(&cnf);
         let sg = SyncGraph::from_program(&p);
         let seq = iwa_analysis::SequenceInfo::compute(&sg);
+        let finish = iwa_analysis::FinishOrder::compute(&sg, &seq);
         let pos_top = sg.node_by_label("top_0_0").unwrap();
         let neg_top = sg.node_by_label("top_1_0").unwrap();
         assert!(
-            seq.finishes_before(pos_top, neg_top),
+            finish.finishes_before(pos_top, neg_top),
             "positive top fires before the same variable's negative top"
         );
         // Unrelated tops stay unordered.
         let other = sg.node_by_label("top_1_1").unwrap();
-        assert!(!seq.paper_sequenceable(&sg, pos_top, other));
+        assert!(!finish.paper_sequenceable(&sg, pos_top, other));
     }
 }

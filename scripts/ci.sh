@@ -11,6 +11,12 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> benchmark tests: known answers, same-seed determinism, metric listing"
+# perfbench is a Cargo workspace of its own, so the run above never
+# reaches it. Running its suite here makes an analysis change that breaks
+# a known answer fail CI, not only a benchmark run.
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
