@@ -19,9 +19,6 @@ use crate::refined::{RefinedOptions, RefinedResult};
 use crate::stall::{StallOptions, StallReport};
 use iwa_core::obs::Counters;
 use iwa_core::IwaError;
-
-#[cfg(feature = "legacy-api")]
-use iwa_core::Budget;
 use iwa_syncgraph::SyncGraph;
 use iwa_tasklang::transforms::{inline_procs, unroll_twice};
 use iwa_tasklang::validate::{check_model, model_warnings, Warning};
@@ -75,24 +72,6 @@ impl Certificate {
     pub fn anomaly_free(&self) -> bool {
         self.deadlock_free() && self.stall_free()
     }
-}
-
-/// Deprecated unbudgeted entry point.
-#[cfg(feature = "legacy-api")]
-#[deprecated(note = "use AnalysisCtx::certify — the ctx carries budget, cancellation, and workers")]
-pub fn certify(p: &Program, opts: &CertifyOptions) -> Result<Certificate, IwaError> {
-    AnalysisCtx::builder().build().certify(p, opts)
-}
-
-/// Deprecated budgeted twin of [`certify`].
-#[cfg(feature = "legacy-api")]
-#[deprecated(note = "use AnalysisCtx::builder().budget(..).build().certify(..)")]
-pub fn certify_budgeted(
-    p: &Program,
-    opts: &CertifyOptions,
-    budget: &Budget,
-) -> Result<Certificate, IwaError> {
-    AnalysisCtx::builder().budget(budget.clone()).build().certify(p, opts)
 }
 
 /// [`AnalysisCtx::certify`]: the full pipeline, with the ctx budget
@@ -193,7 +172,7 @@ mod tests {
     use crate::refined::{RefinedOptions, Tier};
     use iwa_tasklang::parse;
 
-    /// Local ctx-backed stand-in (shadows the glob-imported deprecated shim).
+    /// [`AnalysisCtx::certify`] on a default ctx.
     fn certify(p: &Program, opts: &CertifyOptions) -> Result<Certificate, IwaError> {
         AnalysisCtx::builder().build().certify(p, opts)
     }

@@ -6,11 +6,8 @@
 //! `AnalysisCtx` collapses the pairs: it carries the execution
 //! environment (work [`Budget`] with its deadline and [`CancelToken`],
 //! the worker count for the parallel stages, and optional observability
-//! sinks), and each analysis is a method on it. The old free functions
-//! remain as `#[deprecated]` shims behind the `legacy-api` feature.
-//!
-//! Since the observability redesign, [`AnalysisCtx::builder`] is the one
-//! construction path:
+//! sinks), and each analysis is a method on it, and
+//! [`AnalysisCtx::builder`] is the one construction path:
 //!
 //! ```
 //! use iwa_analysis::{AnalysisCtx, CertifyOptions};
@@ -156,28 +153,6 @@ impl AnalysisCtx {
     #[must_use]
     pub fn builder() -> AnalysisCtxBuilder {
         AnalysisCtxBuilder::default()
-    }
-
-    /// An unlimited, single-threaded context.
-    #[deprecated(note = "use AnalysisCtx::builder().build()")]
-    #[must_use]
-    pub fn new() -> Self {
-        AnalysisCtx::builder().build()
-    }
-
-    /// A single-threaded context under `budget`.
-    #[deprecated(note = "use AnalysisCtx::builder().budget(..).build()")]
-    #[must_use]
-    pub fn with_budget(budget: Budget) -> Self {
-        AnalysisCtx::builder().budget(budget).build()
-    }
-
-    /// Set the worker count on an already-built context.
-    #[deprecated(note = "use AnalysisCtx::builder().workers(..).build()")]
-    #[must_use]
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = iwa_core::pool::resolve_workers(n);
-        self
     }
 
     /// The context's budget.

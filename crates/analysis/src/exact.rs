@@ -150,38 +150,6 @@ impl Default for ExactBudget {
     }
 }
 
-/// Deprecated unbudgeted entry point.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "use AnalysisCtx::builder().build().exact_cycles(..) — the ctx carries budget and cancellation"
-)]
-#[must_use]
-pub fn exact_deadlock_cycles(
-    sg: &SyncGraph,
-    constraints: &ConstraintSet,
-    budget: &ExactBudget,
-) -> ExactResult {
-    AnalysisCtx::builder()
-        .build()
-        .exact_cycles(sg, constraints, budget)
-        .expect("unlimited budget cannot trip")
-}
-
-/// Deprecated budgeted twin of [`exact_deadlock_cycles`].
-#[cfg(feature = "legacy-api")]
-#[deprecated(note = "use AnalysisCtx::builder().budget(..).build().exact_cycles(..)")]
-pub fn exact_deadlock_cycles_budgeted(
-    sg: &SyncGraph,
-    constraints: &ConstraintSet,
-    budget: &ExactBudget,
-    wallclock: &Budget,
-) -> Result<ExactResult, IwaError> {
-    AnalysisCtx::builder()
-        .budget(wallclock.clone())
-        .build()
-        .exact_cycles(sg, constraints, budget)
-}
-
 /// [`AnalysisCtx::exact_cycles`]: enumerate constraint-valid deadlock
 /// cycles of `sg`.
 ///
@@ -474,7 +442,7 @@ mod tests {
     use super::*;
     use iwa_tasklang::parse;
 
-    /// Local ctx-backed stand-in (shadows the glob-imported deprecated shim).
+    /// [`AnalysisCtx::exact_cycles`] on a default ctx.
     fn exact_deadlock_cycles(
         sg: &SyncGraph,
         cs: &ConstraintSet,

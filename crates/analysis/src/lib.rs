@@ -41,20 +41,3 @@ pub use naive::{naive_analysis, NaiveResult};
 pub use refined::{FlaggedHead, RefinedOptions, RefinedResult, Tier};
 pub use sequence::{FinishOrder, SequenceInfo};
 pub use stall::{StallOptions, StallReport, StallVerdict};
-
-// The deprecated `foo`/`foo_budgeted` twins stay re-exported so old code
-// keeps compiling (with deprecation warnings at the *use* sites only).
-// The whole family is gated behind the `legacy-api` feature (off by
-// default); a plain build proves a crate is off them.
-#[cfg(feature = "legacy-api")]
-#[allow(deprecated)]
-pub use certify::{certify, certify_budgeted};
-#[cfg(feature = "legacy-api")]
-#[allow(deprecated)]
-pub use exact::{exact_deadlock_cycles, exact_deadlock_cycles_budgeted};
-#[cfg(feature = "legacy-api")]
-#[allow(deprecated)]
-pub use refined::{refined_analysis, refined_analysis_budgeted, refined_with, refined_with_budgeted};
-#[cfg(feature = "legacy-api")]
-#[allow(deprecated)]
-pub use stall::{stall_analysis, stall_analysis_budgeted};

@@ -12,7 +12,8 @@
 //! entering each task once or violates 3b (§3.1.2) — still an
 //! over-approximation, never a miss. Programs with loops must first be
 //! unrolled (Lemma 1, `iwa_tasklang::transforms::unroll_twice`); the
-//! [`certify`](crate::certify::certify) driver does that automatically.
+//! [`AnalysisCtx::certify`](crate::AnalysisCtx::certify) driver does that
+//! automatically.
 
 use iwa_graphs::Scc;
 use iwa_syncgraph::{Clg, SyncGraph, B};

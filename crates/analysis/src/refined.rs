@@ -45,9 +45,6 @@ use iwa_core::{pool, IwaError};
 use iwa_graphs::{BitSet, Scc};
 use iwa_syncgraph::{Clg, PortClg, SyncGraph};
 
-#[cfg(feature = "legacy-api")]
-use iwa_core::Budget;
-
 /// Which accuracy/cost point of the paper's spectrum to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Tier {
@@ -146,65 +143,6 @@ pub struct RefinedResult {
     pub flagged: Vec<FlaggedHead>,
     /// Number of SCC passes performed (cost diagnostic).
     pub scc_runs: usize,
-}
-
-/// Deprecated single-threaded, unbudgeted entry point.
-#[cfg(feature = "legacy-api")]
-#[deprecated(note = "use AnalysisCtx::refined — the ctx carries budget, cancellation, and workers")]
-#[must_use]
-pub fn refined_analysis(sg: &SyncGraph, opts: &RefinedOptions) -> RefinedResult {
-    AnalysisCtx::builder()
-        .build()
-        .refined(sg, opts)
-        .expect("unlimited budget cannot trip")
-}
-
-/// Deprecated budgeted twin of [`refined_analysis`].
-#[cfg(feature = "legacy-api")]
-#[deprecated(note = "use AnalysisCtx::builder().budget(..).build().refined(..)")]
-pub fn refined_analysis_budgeted(
-    sg: &SyncGraph,
-    opts: &RefinedOptions,
-    budget: &Budget,
-) -> Result<RefinedResult, IwaError> {
-    AnalysisCtx::builder()
-        .budget(budget.clone())
-        .build()
-        .refined(sg, opts)
-}
-
-/// Deprecated precomputed-tables entry point.
-#[cfg(feature = "legacy-api")]
-#[deprecated(note = "use AnalysisCtx::refined_with")]
-#[must_use]
-pub fn refined_with(
-    sg: &SyncGraph,
-    clg: &Clg,
-    seq: &SequenceInfo,
-    cx: &CoexecInfo,
-    opts: &RefinedOptions,
-) -> RefinedResult {
-    AnalysisCtx::builder()
-        .build()
-        .refined_with(sg, clg, seq, cx, opts)
-        .expect("unlimited budget cannot trip")
-}
-
-/// Deprecated budgeted twin of [`refined_with`].
-#[cfg(feature = "legacy-api")]
-#[deprecated(note = "use AnalysisCtx::builder().budget(..).build().refined_with(..)")]
-pub fn refined_with_budgeted(
-    sg: &SyncGraph,
-    clg: &Clg,
-    seq: &SequenceInfo,
-    cx: &CoexecInfo,
-    opts: &RefinedOptions,
-    budget: &Budget,
-) -> Result<RefinedResult, IwaError> {
-    AnalysisCtx::builder()
-        .budget(budget.clone())
-        .build()
-        .refined_with(sg, clg, seq, cx, opts)
 }
 
 /// [`AnalysisCtx::refined`]: build the supporting tables, then run the
@@ -739,8 +677,7 @@ mod tests {
     use super::*;
     use iwa_tasklang::parse;
 
-    /// Local ctx-backed stand-in for the deprecated free function (shadows
-    /// the glob-imported shim, keeping these tests deprecation-free).
+    /// [`AnalysisCtx::refined`] on a default ctx.
     fn refined_analysis(sg: &SyncGraph, opts: &RefinedOptions) -> RefinedResult {
         AnalysisCtx::builder().build().refined(sg, opts).unwrap()
     }

@@ -179,26 +179,6 @@ fn task_path_signatures(
     Ok(all)
 }
 
-/// Deprecated unbudgeted entry point.
-#[cfg(feature = "legacy-api")]
-#[deprecated(note = "use AnalysisCtx::stall — the ctx carries budget, cancellation, and workers")]
-#[must_use]
-pub fn stall_analysis(p: &Program, opts: &StallOptions) -> StallReport {
-    AnalysisCtx::builder().build().stall(p, opts)
-}
-
-/// Deprecated budgeted twin of [`stall_analysis`].
-#[cfg(feature = "legacy-api")]
-#[deprecated(note = "use AnalysisCtx::builder().budget(..).build().stall(..)")]
-#[must_use]
-pub fn stall_analysis_budgeted(
-    p: &Program,
-    opts: &StallOptions,
-    budget: &Budget,
-) -> StallReport {
-    AnalysisCtx::builder().budget(budget.clone()).build().stall(p, opts)
-}
-
 /// [`AnalysisCtx::stall`]: the stall analysis pipeline.
 ///
 /// Budget trips do not abort: in keeping with this module's error
@@ -405,7 +385,7 @@ mod tests {
     use super::*;
     use iwa_tasklang::parse;
 
-    /// Local ctx-backed stand-in (shadows the glob-imported deprecated shim).
+    /// [`AnalysisCtx::stall`] on a default ctx.
     fn stall_analysis(p: &Program, opts: &StallOptions) -> StallReport {
         AnalysisCtx::builder().build().stall(p, opts)
     }

@@ -46,6 +46,7 @@ fn bench_parallel(c: &mut Criterion) {
             },
             jobs,
             batch_deadline: None,
+            ..CheckOptions::default()
         };
         g.bench_with_input(BenchmarkId::from_parameter(jobs), &opts, |b, opts| {
             b.iter(|| check_batch(black_box(&files), opts))

@@ -838,3 +838,45 @@ fn lok_lints_fire_on_the_locks_corpus() {
     assert_eq!(code, Some(1), "{out}");
     assert!(out.contains("lock-order-cycle"), "{out}");
 }
+
+// --------------------------------------------------------- chan frontend
+
+/// The `.chan` precision gap, pinned end to end. The witness cycle
+/// `a! → b? → a? → c? → a!` passes through both ports of channel `a`,
+/// which lower into one task, so no wave can hold both: the oracle says
+/// clean, and it is right (p1 and p3 meet on `a`, then `b` and `c` pair
+/// up, then p2 and p4 meet on `a`, and the program terminates). The CLG
+/// rungs cannot see that exclusion and flag the cycle; they over-report,
+/// as the wait-graph theorem allows. Kept out of `corpus/`: perfbench's
+/// known-answer gate runs the Heads rung on every `// expect:` fixture,
+/// and a new fixture would change the lint goldens.
+#[test]
+fn a_cycle_through_both_ports_of_one_channel_splits_the_ladder() {
+    let dir = scratch("chan-gap");
+    let path = dir.join("gap.chan");
+    std::fs::write(
+        &path,
+        "chan a; chan b; chan c;
+proc p1 { send a; send b; }
+proc p2 { recv b; send a; }
+proc p3 { recv a; send c; }
+proc p4 { recv c; recv a; }
+",
+    )
+    .unwrap();
+    let path = path.to_str().unwrap();
+    let witness = "channel-wait cycle: a! → b? → a? → c? → a!";
+
+    let (out, err, code) = iwa(&["analyze", path]);
+    assert_eq!(code, Some(0), "stdout: {out}\nstderr: {err}");
+    assert!(out.contains("verdict   : clean (rung 'oracle')"), "{out}");
+    for start in ["headtails", "pairs", "heads", "naive"] {
+        let (out, err, code) = iwa(&["analyze", path, "--start", start]);
+        assert_eq!(code, Some(1), "{start}: stdout: {out}\nstderr: {err}");
+        assert!(out.contains(&format!("flagged   : {witness}")), "{start}: {out}");
+    }
+    let (out, err, code) = iwa(&["lint", path]);
+    assert_eq!(code, Some(1), "stdout: {out}\nstderr: {err}");
+    assert!(out.contains(&format!("error[channel-cycle]: {witness}")), "{out}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -36,7 +36,7 @@
 //! trips every other worker at its next checkpoint.
 
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Upper bound on worker threads; a plain safety valve against absurd
 /// `-j` requests (the pool happily runs fewer when `n` is small).
@@ -155,11 +155,12 @@ pub struct PoolStats {
     pub steals: u64,
 }
 
-/// [`map`] for fallible tasks: stop scheduling new tasks at the first
-/// failure and return the error with the lowest index (so the reported
-/// error is reproducible for any worker count). In-flight tasks on other
-/// workers run to completion; share a [`Budget`](crate::Budget) across
-/// the tasks to make them trip promptly.
+/// [`map`] for fallible tasks: after a failure, skip every task above
+/// the lowest failing index so far and return the error with the lowest
+/// index (so the reported error is reproducible for any worker count).
+/// Tasks below it, and in-flight tasks on other workers, run to
+/// completion; share a [`Budget`](crate::Budget) across the tasks to make
+/// them trip promptly.
 pub fn try_map<T, E, F>(workers: usize, n: usize, f: F) -> Result<Vec<T>, E>
 where
     T: Send,
@@ -197,17 +198,20 @@ where
     let slots: Vec<AtomicU64> = (0..workers)
         .map(|w| AtomicU64::new(pack((n * w / workers) as u32, (n * (w + 1) / workers) as u32)))
         .collect();
-    let abort = AtomicBool::new(false);
+    // The lowest failing index so far. Tasks above it are skipped (they
+    // cannot change the reported error); tasks below it still run, so the
+    // error returned is the lowest-index one for any worker count.
+    let lowest_failure = AtomicUsize::new(usize::MAX);
 
     let per_worker: Vec<WorkerHaul<T, E>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|me| {
-                let (slots, abort, f) = (&slots, &abort, &f);
+                let (slots, lowest_failure, f) = (&slots, &lowest_failure, &f);
                 scope.spawn(move || {
                     let mut done: Vec<(usize, T)> = Vec::new();
                     let mut failed: Option<(usize, E)> = None;
                     let mut steals: u64 = 0;
-                    while !abort.load(Ordering::Relaxed) {
+                    loop {
                         let i = match pop_front(&slots[me]) {
                             Some(i) => i,
                             None => match steal(slots, me) {
@@ -218,11 +222,16 @@ where
                                 None => break, // no work anywhere visible
                             },
                         };
+                        if i > lowest_failure.load(Ordering::Relaxed) {
+                            continue;
+                        }
                         match f(i) {
                             Ok(v) => done.push((i, v)),
                             Err(e) => {
+                                // Everything left in this worker's slot
+                                // lies above `i`, so it may stop here.
                                 failed = Some((i, e));
-                                abort.store(true, Ordering::Relaxed);
+                                lowest_failure.fetch_min(i, Ordering::Relaxed);
                                 break;
                             }
                         }
@@ -322,8 +331,8 @@ mod tests {
                 Ok(())
             }
         });
-        // Worker 0 fails instantly; the abort flag keeps the other worker
-        // from draining its entire 5000-index chunk.
+        // Worker 0 fails instantly at index 0; the other worker skips
+        // every index above it instead of running its 5000-index chunk.
         assert!(
             ran.load(Ordering::Relaxed) < 5_000,
             "ran {} tasks after the failure",

@@ -267,20 +267,6 @@ pub fn collect_files(root: &Path) -> Result<Vec<PathBuf>, IwaError> {
     collect_sources(root).map(|c| c.files)
 }
 
-/// Deprecated sequential batch entry point.
-#[cfg(feature = "legacy-api")]
-#[deprecated(note = "use check_batch — CheckOptions carries the job count and batch deadline")]
-#[must_use]
-pub fn check_paths(paths: &[PathBuf], opts: &EngineOptions) -> CheckSummary {
-    check_batch(
-        paths,
-        &CheckOptions {
-            engine: opts.clone(),
-            ..CheckOptions::default()
-        },
-    )
-}
-
 /// Check every file in `paths`, each behind its own panic boundary and
 /// under its own copy of the engine options, fanned across
 /// [`CheckOptions::jobs`] workers.

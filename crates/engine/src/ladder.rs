@@ -26,17 +26,18 @@
 
 use iwa_analysis::stall::signal_balance;
 use iwa_analysis::{
-    naive_analysis, AnalysisCtx, CertifyOptions, RefinedOptions, StallOptions, StallVerdict, Tier,
+    naive_analysis, AnalysisCtx, CertifyOptions, NaiveResult, RefinedOptions, StallOptions,
+    StallVerdict, Tier,
 };
 use iwa_core::fault::{FaultPlan, FaultSite};
 use iwa_core::obs::{Counters, Meta, Metrics, TraceSink};
 use iwa_core::{Budget, CancelToken, IwaError};
-use iwa_frontend::{ChanModel, LoadedModel, LokModel, ModelIr};
+use iwa_frontend::{LoadedModel, ModelIr, WaitModel};
 use iwa_syncgraph::SyncGraph;
 use iwa_tasklang::transforms::{inline_procs, unroll_twice};
 use iwa_tasklang::validate::check_model;
 use iwa_tasklang::Program;
-use iwa_wavesim::{explore_budgeted, AnomalyReport, ExploreConfig, Verdict};
+use iwa_wavesim::{explore_budgeted, AnomalyReport, Exploration, ExploreConfig, Verdict};
 use serde::Serialize;
 use std::fmt;
 use std::str::FromStr;
@@ -268,68 +269,44 @@ pub fn analyze(p: &Program, opts: &EngineOptions) -> Result<EngineReport, IwaErr
 }
 
 /// Run the ladder on any loaded frontend model, dispatching on its IR:
-/// tasklang models go through [`analyze`] unchanged; `.lok` models run
-/// the [lock-order ladder](analyze_lok); `.chan` models run the
-/// [channel ladder](analyze_chan). This is the entry point the batch
-/// driver, the CLI, and the serve daemon share.
+/// tasklang models go through [`analyze`] unchanged; `.lok` and `.chan`
+/// models run the [wait-graph ladder](analyze_wait). This is the entry
+/// point the batch driver, the CLI, and the serve daemon share.
 pub fn analyze_model(model: &LoadedModel, opts: &EngineOptions) -> Result<EngineReport, IwaError> {
     match &model.ir {
         ModelIr::Tasklang(p) => analyze(p, opts),
-        ModelIr::Lok(m) => analyze_lok(m, opts),
-        ModelIr::Chan(m) => analyze_chan(m, opts),
+        ModelIr::Lok(m) => Ok(analyze_wait(&**m, opts)),
+        ModelIr::Chan(m) => Ok(analyze_wait(&**m, opts)),
     }
 }
 
-/// Run the degradation ladder on a loaded `.lok` model.
+/// Run the degradation ladder on a wait-graph model (`.lok` or `.chan`).
 ///
-/// The rungs reuse the same machinery as the tasklang ladder against the
-/// lowered sync graph, specialised to the lock-order model:
-///
-/// * the **oracle** explores in deadlock-only mode (`ignore_stalls`) —
-///   stall-only stuck waves are benign for this lowering (every task is
-///   skippable, so an unpartnered acquire branch is a legal non-event);
-/// * the **refined** rungs seed the per-head SCC search with the
-///   hold-point nodes ([`LokModel::hold_points`]), which cover every
-///   possible head of the lowered graph, and certify the deadlock half
-///   only — there is no stall half to abstain on, so a deadlock-free
-///   result is `Clean`, never `Unknown`;
-/// * the **naive** floor's CLG cycle check is *exact* here (the lowered
-///   graph is control-loop-free and its CLG cycles are precisely the
-///   lock-order cycles), so even the floor never degrades to `Unknown`.
-///
-/// Anomalous verdicts report the canonical lock-order cycles with their
-/// span-anchored acquisition chains as the flagged witnesses.
-pub fn analyze_lok(m: &LokModel, opts: &EngineOptions) -> Result<EngineReport, IwaError> {
-    Ok(run_ladder(opts, |rung, slice, metrics| {
-        run_rung_lok(m, rung, opts, slice, metrics)
-    }))
-}
-
-/// Run the degradation ladder on a loaded `.chan` model.
-///
-/// The deadlock half mirrors the `.lok` specialisation against the
-/// port-expanded lowering (see [`iwa_frontend::chan::lower`]):
+/// The rungs reuse the tasklang machinery against the lowered sync
+/// graph (see [`iwa_frontend::wait`] for the lowering and its theorem):
 ///
 /// * the **oracle** explores in deadlock-only mode (`ignore_stalls`) —
 ///   every lowered task is skippable, so stall-only stuck waves are a
 ///   legal non-event, not an anomaly;
 /// * the **refined** rungs seed the per-head SCC search with the
-///   wait-point nodes ([`ChanModel::wait_points`]), which cover every
-///   possible head of the lowered graph;
-/// * the **naive** floor's CLG cycle check is *exact* here (the lowered
-///   graph is control-loop-free and its CLG cycles are precisely the
-///   communication-dependency cycles).
+///   model's hold points, which cover every possible head of the
+///   lowered graph, and certify the deadlock half only;
+/// * the **naive** floor's CLG cycle check flags exactly the wait-graph
+///   cycles, so even the floor never answers `Unknown`.
 ///
-/// On top of the graph verdict every rung folds in the model's static
-/// **livelock witnesses** — loops traversable forever without external
-/// communication are control-loop properties the (loop-free) lowering
-/// abstracts away, so they are detected on the AST once at load time
-/// and OR-ed into each rung's answer. All rungs therefore agree, and a
-/// deadlock-free, livelock-free result is `Clean`, never `Unknown`.
-pub fn analyze_chan(m: &ChanModel, opts: &EngineOptions) -> Result<EngineReport, IwaError> {
-    Ok(run_ladder(opts, |rung, slice, metrics| {
-        run_rung_chan(m, rung, opts, slice, metrics)
-    }))
+/// Every rung is exact for `.lok`. On `.chan` the oracle alone rules out
+/// cycles through both ports of one channel; the cheaper rungs may flag
+/// them, so they can over-report but never under-report. Each rung then
+/// folds in the model's static **livelock witnesses** (`.chan` only):
+/// loops that spin forever without communicating are control-loop
+/// properties the loop-free lowering abstracts away, so they are found
+/// on the AST at load time and OR-ed into every rung's answer.
+/// Anomalous verdicts report the model's witness sentences: one per
+/// cycle, then one per livelock.
+pub fn analyze_wait(m: &dyn WaitModel, opts: &EngineOptions) -> EngineReport {
+    run_ladder(opts, |rung, slice, metrics| {
+        run_rung_wait(m, rung, opts, slice, metrics)
+    })
 }
 
 /// The shared ladder driver: budget slicing, per-rung attempts, the
@@ -436,6 +413,69 @@ fn ms(d: Duration) -> u64 {
     d.as_millis().try_into().unwrap_or(u64::MAX)
 }
 
+/// Fire the fault plan at the top of a budgeted rung; the naive floor
+/// never consults it.
+fn fire_faults(rung: Rung, opts: &EngineOptions) -> Result<(), IwaError> {
+    match &opts.faults {
+        Some(plan) if rung != Rung::Naive => {
+            plan.fire(FaultSite::Certify, rung.name())?;
+            if rung != Rung::Oracle {
+                plan.fire(FaultSite::RefinedSearch, rung.name())?;
+            }
+            Ok(())
+        }
+        _ => Ok(()),
+    }
+}
+
+/// The refined tier a refined rung runs.
+fn tier(rung: Rung) -> Tier {
+    match rung {
+        Rung::HeadTails => Tier::HeadTails,
+        Rung::HeadPairs => Tier::HeadPairs,
+        _ => Tier::Heads,
+    }
+}
+
+/// The analysis context a refined rung runs in: its budget slice, the
+/// caller's workers, metrics and trace.
+fn analysis_ctx(opts: &EngineOptions, budget: &Budget, metrics: &Metrics) -> AnalysisCtx {
+    let mut builder = AnalysisCtx::builder()
+        .budget(budget.clone())
+        .workers(opts.workers)
+        .metrics(metrics.clone());
+    if let Some(t) = &opts.trace {
+        builder = builder.trace(t.clone());
+    }
+    builder.build()
+}
+
+/// The oracle's wave exploration, metered.
+fn explore_counted(
+    sg: &SyncGraph,
+    config: &ExploreConfig,
+    budget: &Budget,
+    metrics: &Metrics,
+) -> Result<Exploration, IwaError> {
+    let e = explore_budgeted(sg, config, budget)?;
+    metrics.commit(&Counters {
+        sg_nodes: sg.num_nodes() as u64,
+        ..Counters::default()
+    });
+    Ok(e)
+}
+
+/// The §3.1 CLG cycle check, metered.
+fn naive_counted(sg: &SyncGraph, metrics: &Metrics) -> NaiveResult {
+    let naive = naive_analysis(sg);
+    metrics.commit(&Counters {
+        sg_nodes: sg.num_nodes() as u64,
+        clg_cycles: naive.cycle_components.len() as u64,
+        ..Counters::default()
+    });
+    naive
+}
+
 fn run_rung(
     p: &Program,
     rung: Rung,
@@ -443,25 +483,14 @@ fn run_rung(
     budget: &Budget,
     metrics: &Metrics,
 ) -> Result<(EngineVerdict, Vec<String>), IwaError> {
-    if rung != Rung::Naive {
-        if let Some(plan) = &opts.faults {
-            plan.fire(FaultSite::Certify, rung.name())?;
-            if matches!(rung, Rung::HeadTails | Rung::HeadPairs | Rung::Heads) {
-                plan.fire(FaultSite::RefinedSearch, rung.name())?;
-            }
-        }
-    }
+    fire_faults(rung, opts)?;
     match rung {
         Rung::Oracle => {
             // Trip *before* building the wave space when the slice is
             // already dead (e.g. `--deadline-ms 1`).
             budget.probe("oracle exploration")?;
             let sg = SyncGraph::from_program(p);
-            let e = explore_budgeted(&sg, &opts.oracle_config, budget)?;
-            metrics.commit(&Counters {
-                sg_nodes: sg.num_nodes() as u64,
-                ..Counters::default()
-            });
+            let e = explore_counted(&sg, &opts.oracle_config, budget, metrics)?;
             let verdict = match e.verdict {
                 Verdict::AnomalyFree => EngineVerdict::Clean,
                 Verdict::Anomalous => EngineVerdict::Anomalous,
@@ -474,14 +503,9 @@ fn run_rung(
             Ok((verdict, flagged))
         }
         Rung::HeadTails | Rung::HeadPairs | Rung::Heads => {
-            let tier = match rung {
-                Rung::HeadTails => Tier::HeadTails,
-                Rung::HeadPairs => Tier::HeadPairs,
-                _ => Tier::Heads,
-            };
             let copts = CertifyOptions {
                 refined: RefinedOptions {
-                    tier,
+                    tier: tier(rung),
                     ..RefinedOptions::default()
                 },
                 stall: StallOptions {
@@ -489,14 +513,7 @@ fn run_rung(
                     ..StallOptions::default()
                 },
             };
-            let mut builder = AnalysisCtx::builder()
-                .budget(budget.clone())
-                .workers(opts.workers)
-                .metrics(metrics.clone());
-            if let Some(t) = &opts.trace {
-                builder = builder.trace(t.clone());
-            }
-            let cert = builder.build().certify(p, &copts)?;
+            let cert = analysis_ctx(opts, budget, metrics).certify(p, &copts)?;
             let mut flagged: Vec<String> = cert
                 .refined
                 .flagged
@@ -545,177 +562,41 @@ fn run_rung(
     }
 }
 
-/// One rung of the lock-order ladder (see [`analyze_lok`] for the
-/// per-rung specialisation). Every rung is exact for this model, so an
-/// `Anomalous` verdict always reports the same canonical witnesses: the
-/// lock-order cycles with their span-anchored acquisition chains.
-fn run_rung_lok(
-    m: &LokModel,
+/// One rung of the wait-graph ladder (see [`analyze_wait`]).
+fn run_rung_wait(
+    m: &dyn WaitModel,
     rung: Rung,
     opts: &EngineOptions,
     budget: &Budget,
     metrics: &Metrics,
 ) -> Result<(EngineVerdict, Vec<String>), IwaError> {
-    if rung != Rung::Naive {
-        if let Some(plan) = &opts.faults {
-            plan.fire(FaultSite::Certify, rung.name())?;
-            if matches!(rung, Rung::HeadTails | Rung::HeadPairs | Rung::Heads) {
-                plan.fire(FaultSite::RefinedSearch, rung.name())?;
-            }
-        }
-    }
-    let witnesses = || {
-        m.cycles
-            .iter()
-            .map(|c| format!("lock-order cycle: {}", m.lock_graph.render_cycle(c)))
-            .collect::<Vec<_>>()
-    };
-    match rung {
+    fire_faults(rung, opts)?;
+    let (sg, seeds) = m.lowered();
+    let deadlock_free = match rung {
         Rung::Oracle => {
             budget.probe("oracle exploration")?;
-            // Deadlock-only mode: stall-only stuck waves are benign in
-            // the lock lowering (every task is skippable).
             let config = ExploreConfig {
                 ignore_stalls: true,
                 ..opts.oracle_config
             };
-            let e = explore_budgeted(&m.sg, &config, budget)?;
-            metrics.commit(&Counters {
-                sg_nodes: m.sg.num_nodes() as u64,
-                ..Counters::default()
-            });
-            match e.verdict {
-                Verdict::AnomalyFree => Ok((EngineVerdict::Clean, Vec::new())),
-                Verdict::Anomalous => Ok((EngineVerdict::Anomalous, witnesses())),
-            }
+            explore_counted(sg, &config, budget, metrics)?.verdict == Verdict::AnomalyFree
         }
         Rung::HeadTails | Rung::HeadPairs | Rung::Heads => {
-            let tier = match rung {
-                Rung::HeadTails => Tier::HeadTails,
-                Rung::HeadPairs => Tier::HeadPairs,
-                _ => Tier::Heads,
-            };
             let ropts = RefinedOptions {
-                tier,
+                tier: tier(rung),
                 ..RefinedOptions::default()
             };
-            let mut builder = AnalysisCtx::builder()
-                .budget(budget.clone())
-                .workers(opts.workers)
-                .metrics(metrics.clone());
-            if let Some(t) = &opts.trace {
-                builder = builder.trace(t.clone());
-            }
-            let r = builder.build().refined_seeded(&m.sg, &m.hold_points, &ropts)?;
-            if r.deadlock_free {
-                Ok((EngineVerdict::Clean, Vec::new()))
-            } else {
-                Ok((EngineVerdict::Anomalous, witnesses()))
-            }
+            analysis_ctx(opts, budget, metrics)
+                .refined_seeded(sg, seeds, &ropts)?
+                .deadlock_free
         }
-        Rung::Naive => {
-            // Exact for this model: the lowered graph is control-loop-free
-            // and its CLG cycles are precisely the lock-order cycles, so
-            // the floor never answers `Unknown` on `.lok` input.
-            let naive = naive_analysis(&m.sg);
-            metrics.commit(&Counters {
-                sg_nodes: m.sg.num_nodes() as u64,
-                clg_cycles: naive.cycle_components.len() as u64,
-                ..Counters::default()
-            });
-            if naive.deadlock_free {
-                Ok((EngineVerdict::Clean, Vec::new()))
-            } else {
-                Ok((EngineVerdict::Anomalous, witnesses()))
-            }
-        }
-    }
-}
-
-/// One rung of the channel ladder (see [`analyze_chan`] for the
-/// per-rung specialisation). Every rung is exact for this model, so an
-/// `Anomalous` verdict always reports the same canonical witnesses:
-/// the communication cycles with their span-anchored wait chains, plus
-/// the static livelock witnesses with their starved-arm rationale.
-fn run_rung_chan(
-    m: &ChanModel,
-    rung: Rung,
-    opts: &EngineOptions,
-    budget: &Budget,
-    metrics: &Metrics,
-) -> Result<(EngineVerdict, Vec<String>), IwaError> {
-    if rung != Rung::Naive {
-        if let Some(plan) = &opts.faults {
-            plan.fire(FaultSite::Certify, rung.name())?;
-            if matches!(rung, Rung::HeadTails | Rung::HeadPairs | Rung::Heads) {
-                plan.fire(FaultSite::RefinedSearch, rung.name())?;
-            }
-        }
-    }
-    let witnesses = || {
-        m.cycles
-            .iter()
-            .map(|c| format!("channel-wait cycle: {}", m.comm_graph.render_cycle(c)))
-            .chain(m.livelocks.iter().map(|w| m.render_livelock(w)))
-            .collect::<Vec<_>>()
+        Rung::Naive => naive_counted(sg, metrics).deadlock_free,
     };
-    // Livelock is a control-loop property the (loop-free) lowering
-    // abstracts away; fold the load-time witnesses into every rung.
-    let finish = |graph_deadlock_free: bool| {
-        if graph_deadlock_free && m.livelocks.is_empty() {
-            (EngineVerdict::Clean, Vec::new())
-        } else {
-            (EngineVerdict::Anomalous, witnesses())
-        }
-    };
-    match rung {
-        Rung::Oracle => {
-            budget.probe("oracle exploration")?;
-            // Deadlock-only mode: stall-only stuck waves are benign in
-            // the channel lowering (every task is skippable).
-            let config = ExploreConfig {
-                ignore_stalls: true,
-                ..opts.oracle_config
-            };
-            let e = explore_budgeted(&m.sg, &config, budget)?;
-            metrics.commit(&Counters {
-                sg_nodes: m.sg.num_nodes() as u64,
-                ..Counters::default()
-            });
-            Ok(finish(e.verdict == Verdict::AnomalyFree))
-        }
-        Rung::HeadTails | Rung::HeadPairs | Rung::Heads => {
-            let tier = match rung {
-                Rung::HeadTails => Tier::HeadTails,
-                Rung::HeadPairs => Tier::HeadPairs,
-                _ => Tier::Heads,
-            };
-            let ropts = RefinedOptions {
-                tier,
-                ..RefinedOptions::default()
-            };
-            let mut builder = AnalysisCtx::builder()
-                .budget(budget.clone())
-                .workers(opts.workers)
-                .metrics(metrics.clone());
-            if let Some(t) = &opts.trace {
-                builder = builder.trace(t.clone());
-            }
-            let r = builder.build().refined_seeded(&m.sg, &m.wait_points, &ropts)?;
-            Ok(finish(r.deadlock_free))
-        }
-        Rung::Naive => {
-            // Exact for this model: the lowered graph is control-loop-free
-            // and its CLG cycles are precisely the communication cycles.
-            let naive = naive_analysis(&m.sg);
-            metrics.commit(&Counters {
-                sg_nodes: m.sg.num_nodes() as u64,
-                clg_cycles: naive.cycle_components.len() as u64,
-                ..Counters::default()
-            });
-            Ok(finish(naive.deadlock_free))
-        }
-    }
+    Ok(if deadlock_free && m.livelock_free() {
+        (EngineVerdict::Clean, Vec::new())
+    } else {
+        (EngineVerdict::Anomalous, m.witnesses())
+    })
 }
 
 /// The budget-free floor: §3.1 CLG cycle detection for the deadlock half
@@ -729,13 +610,7 @@ fn naive_floor(p: &Program, metrics: &Metrics) -> (EngineVerdict, Vec<String>) {
         analysed = unroll_twice(p);
         &analysed
     };
-    let sg = SyncGraph::from_program(target);
-    let naive = naive_analysis(&sg);
-    metrics.commit(&Counters {
-        sg_nodes: sg.num_nodes() as u64,
-        clg_cycles: naive.cycle_components.len() as u64,
-        ..Counters::default()
-    });
+    let naive = naive_counted(&SyncGraph::from_program(target), metrics);
 
     let mut flagged: Vec<String> = naive
         .cycle_components

@@ -32,13 +32,6 @@ pub use check::{
     FileOutcome, LintStage, RetryPolicy, FAULT_INJECT_ENV,
 };
 pub use ladder::{
-    analyze, analyze_lok, analyze_model, EngineOptions, EngineReport, EngineVerdict, Rung,
+    analyze, analyze_model, analyze_wait, EngineOptions, EngineReport, EngineVerdict, Rung,
     RungAttempt, LADDER, SCHEMA_VERSION,
 };
-
-// The deprecated sequential batch entry point stays re-exported so old
-// code keeps compiling (with a deprecation warning at the use site),
-// gated behind the `legacy-api` feature (off by default).
-#[cfg(feature = "legacy-api")]
-#[allow(deprecated)]
-pub use check::check_paths;

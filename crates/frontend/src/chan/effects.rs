@@ -39,6 +39,7 @@
 //! walked as an alternative path).
 
 use super::ast::{Capacity, ChanProgram, ChanStmt, Dir, SelectArm};
+use crate::wait::{EdgeSet, WaitEdge};
 use iwa_core::Span;
 use std::collections::HashSet;
 
@@ -93,26 +94,11 @@ impl OpKind {
     }
 }
 
-/// One wait record: `proc` may block at port `from` (at `blocked_span`)
-/// while a later `withheld` op on `withheld_chan` — whose completion the
-/// waiters at port `to` need — sits unreached behind it.
-#[derive(Clone, Debug)]
-pub struct DepEdge {
-    /// The port the process may be blocked at.
-    pub from: usize,
-    /// The port whose waiters are starved.
-    pub to: usize,
-    /// The process the pattern occurs in.
-    pub proc_name: String,
-    /// Site of the blocking op at `from`.
-    pub blocked_span: Span,
-    /// The withheld op's kind.
-    pub withheld: OpKind,
-    /// The withheld op's channel.
-    pub withheld_chan: usize,
-    /// The withheld op's site.
-    pub withheld_span: Span,
-}
+/// One wait record: `actor` may block at port `from` (at `held_span`)
+/// while a later op of kind `tag` on `to`'s channel (at `wanted_span`),
+/// whose completion the waiters at port `to` need, sits unreached
+/// behind it.
+pub type DepEdge = WaitEdge<OpKind>;
 
 /// A suspicious-but-analysable pattern the walk surfaced.
 #[derive(Clone, Debug)]
@@ -224,21 +210,18 @@ impl ChanEffects {
 
         // Pass 2: the blocking dataflow producing wait records.
         let caps: Vec<Capacity> = p.chans.iter().map(|c| c.capacity).collect();
-        let mut seen_pairs = HashSet::new();
+        let mut walker = Walker {
+            proc_name: "",
+            caps: &caps,
+            edges: EdgeSet::default(),
+            issues: Vec::new(),
+        };
         for proc_ in &p.procs {
-            let mut walker = Walker {
-                proc_name: &proc_.name,
-                caps: &caps,
-                edges: Vec::new(),
-                seen_pairs: std::mem::take(&mut seen_pairs),
-                issues: Vec::new(),
-            };
-            let mut state = PathState::new(n);
-            walker.walk(&mut state, &proc_.body);
-            effects.dep_edges.extend(walker.edges);
-            effects.issues.extend(walker.issues);
-            seen_pairs = walker.seen_pairs;
+            walker.proc_name = &proc_.name;
+            walker.walk(&mut PathState::new(n), &proc_.body);
         }
+        effects.dep_edges = walker.edges.edges;
+        effects.issues = walker.issues;
 
         // Loop bodies are walked twice, which can surface the same issue
         // twice; keep the first occurrence.
@@ -390,35 +373,21 @@ impl PathState {
 struct Walker<'a> {
     proc_name: &'a str,
     caps: &'a [Capacity],
-    edges: Vec<DepEdge>,
-    seen_pairs: HashSet<(usize, usize)>,
+    edges: EdgeSet<OpKind>,
     issues: Vec<ChanIssue>,
 }
 
 impl Walker<'_> {
-    /// Record wait edges for an op on `chan` offering to port `to`,
-    /// withheld behind every pending blockage on the path. Skips a
-    /// pending port whose own blocked op already offers to `to` (see
-    /// module docs).
-    fn offer(&mut self, state: &PathState, to: usize, kind: OpKind, chan: usize, span: Span) {
-        for (h, blocked) in state.pending.iter().enumerate() {
-            let Some(blocked_span) = blocked else {
+    /// Record wait edges for an op offering to port `to`, withheld
+    /// behind every pending blockage on the path. Skips a pending port
+    /// whose own blocked op already offers to `to` (see module docs).
+    fn offer(&mut self, state: &PathState, to: usize, kind: OpKind, span: Span) {
+        for (h, pending) in state.pending.iter().enumerate() {
+            let Some(held) = *pending else {
                 continue;
             };
-            let h_offers_to = port(port_chan(h), port_dir(h).opposite());
-            if h_offers_to == to {
-                continue;
-            }
-            if self.seen_pairs.insert((h, to)) {
-                self.edges.push(DepEdge {
-                    from: h,
-                    to,
-                    proc_name: self.proc_name.to_owned(),
-                    blocked_span: *blocked_span,
-                    withheld: kind,
-                    withheld_chan: chan,
-                    withheld_span: span,
-                });
+            if port(port_chan(h), port_dir(h).opposite()) != to {
+                self.edges.add(h, to, self.proc_name, held, span, kind);
             }
         }
     }
@@ -439,7 +408,7 @@ impl Walker<'_> {
                     });
                     return;
                 }
-                self.offer(state, port(chan, Dir::Recv), OpKind::Send, chan, span);
+                self.offer(state, port(chan, Dir::Recv), OpKind::Send, span);
                 if self.caps[chan].send_may_block() {
                     state.pending[port(chan, Dir::Send)].get_or_insert(span);
                 }
@@ -450,7 +419,7 @@ impl Walker<'_> {
                     // without a partner: no offer, no blockage.
                     return;
                 }
-                self.offer(state, port(chan, Dir::Send), OpKind::Recv, chan, span);
+                self.offer(state, port(chan, Dir::Send), OpKind::Recv, span);
                 state.pending[port(chan, Dir::Recv)].get_or_insert(span);
             }
         }
@@ -467,7 +436,7 @@ impl Walker<'_> {
             return;
         }
         // A close releases every blocked receiver of the channel.
-        self.offer(state, port(chan, Dir::Recv), OpKind::Close, chan, span);
+        self.offer(state, port(chan, Dir::Recv), OpKind::Close, span);
         state.must_closed[chan] = Some(span);
     }
 
@@ -529,13 +498,7 @@ impl Walker<'_> {
                             closed_span,
                         });
                     } else {
-                        self.offer(
-                            &entry,
-                            port(arm.chan, Dir::Recv),
-                            OpKind::Send,
-                            arm.chan,
-                            arm.span,
-                        );
+                        self.offer(&entry, port(arm.chan, Dir::Recv), OpKind::Send, arm.span);
                         if blocking && self.caps[arm.chan].send_may_block() {
                             arm_state.pending[port(arm.chan, Dir::Send)].get_or_insert(arm.span);
                         }
@@ -543,13 +506,7 @@ impl Walker<'_> {
                 }
                 Dir::Recv => {
                     if entry.must_closed[arm.chan].is_none() {
-                        self.offer(
-                            &entry,
-                            port(arm.chan, Dir::Send),
-                            OpKind::Recv,
-                            arm.chan,
-                            arm.span,
-                        );
+                        self.offer(&entry, port(arm.chan, Dir::Send), OpKind::Recv, arm.span);
                         if blocking {
                             arm_state.pending[port(arm.chan, Dir::Recv)].get_or_insert(arm.span);
                         }
@@ -660,7 +617,7 @@ mod tests {
         // Blocked at (a,recv)=port 1 withholding close c → starves
         // (c,recv)=port 3.
         assert_eq!(edge_ports(&e), [(1, 3)]);
-        assert_eq!(e.dep_edges[0].withheld, OpKind::Close);
+        assert_eq!(e.dep_edges[0].tag, OpKind::Close);
     }
 
     #[test]

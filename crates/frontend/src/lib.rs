@@ -14,11 +14,11 @@
 //!   language-level IR the lints and reports need alongside it).
 //!
 //! Three frontends ship today: [`TasklangFrontend`] (the original `.iwa`
-//! rendezvous DSL), [`LokFrontend`] (the `.lok` lock-order language,
-//! whose lock-acquisition-order cycles lower onto CLG cycles — see
-//! [`lok`]), and [`ChanFrontend`] (the `.chan` channel/select language,
-//! whose port-wait cycles lower the same way and which adds a static
-//! livelock classification — see [`chan`]). The [`registry`] resolves a
+//! rendezvous DSL), [`LokFrontend`] (the `.lok` lock-order language —
+//! see [`lok`]), and [`ChanFrontend`] (the `.chan` channel/select
+//! language, which adds a static livelock classification — see
+//! [`chan`]). The last two produce one IR, the [`wait`]-for graph, and
+//! share its one lowering onto the CLG. The [`registry`] resolves a
 //! frontend by file extension or explicit `--lang` name, and [`Lang`]
 //! doubles as the lint applicability key: each lint declares which
 //! languages it speaks.
@@ -32,13 +32,15 @@ use std::path::Path;
 
 pub mod chan;
 pub mod lok;
+pub mod wait;
 
 pub use chan::{ChanFrontend, ChanModel};
 pub use lok::{LokFrontend, LokModel};
+pub use wait::{WaitCycle, WaitEdge, WaitGraph, WaitModel};
 
 /// The source languages the analyzer understands. Doubles as the lint
-/// applicability key ([`iwa-lint`]'s `Lint::applies_to`) and the wire
-/// name in reports (serialized as [`Lang::name`]).
+/// applicability key (`iwa_lint::Lint::applies_to`) and the wire name in
+/// reports (serialized as [`Lang::name`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Lang {
     /// The `.iwa` rendezvous DSL (tasks, send/accept, the paper's model).
@@ -157,6 +159,17 @@ impl LoadedModel {
         match &self.ir {
             ModelIr::Chan(m) => Some(m),
             _ => None,
+        }
+    }
+
+    /// The wait-graph model, when this model came from the `.lok` or
+    /// `.chan` frontend.
+    #[must_use]
+    pub fn as_wait(&self) -> Option<&dyn WaitModel> {
+        match &self.ir {
+            ModelIr::Tasklang(_) => None,
+            ModelIr::Lok(m) => Some(&**m),
+            ModelIr::Chan(m) => Some(&**m),
         }
     }
 }

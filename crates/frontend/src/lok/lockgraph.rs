@@ -12,27 +12,20 @@
 //! enough" argument behind the paper's Lemma 1 unrolling.
 //!
 //! A self-edge `m → m` is a double acquire of a non-reentrant mutex —
-//! itself a deadlock — and shows up as a length-one [`LockCycle`].
+//! itself a deadlock — and shows up as a length-one cycle.
 
 use super::ast::{LokProgram, LokStmt};
+use crate::wait::{EdgeSet, Scheme, WaitCycle, WaitGraph};
 use iwa_core::Span;
-use iwa_graphs::{GraphBuilder, Scc};
 
-/// One lock-order edge: `thread` may hold `from` (acquired at
-/// `held_span`) while acquiring `to` (at `acquire_span`).
-#[derive(Clone, Debug)]
-pub struct LockEdge {
-    /// The held mutex.
-    pub from: usize,
-    /// The mutex being acquired.
-    pub to: usize,
-    /// The thread the hold pattern occurs in.
-    pub thread: String,
-    /// Acquire site of the held mutex.
-    pub held_span: Span,
-    /// The acquire site that creates the edge.
-    pub acquire_span: Span,
-}
+/// `.lok` resources: each mutex is its own lowered task with signal
+/// `held`; nodes read "a held by t1" and "b wanted by t1".
+static MUTEXES: Scheme = Scheme {
+    signals: &["held"],
+    marks: &[""],
+    held: "held by",
+    wanted: "wanted by",
+};
 
 /// A suspicious-but-analysable pattern the walk surfaced.
 #[derive(Clone, Debug)]
@@ -57,26 +50,13 @@ pub enum LockIssue {
     },
 }
 
-/// One lock-order cycle, with its witness acquisition chain.
-#[derive(Clone, Debug)]
-pub struct LockCycle {
-    /// The mutexes on the cycle, starting from the smallest id; length 1
-    /// for a double-acquire self-cycle.
-    pub mutexes: Vec<usize>,
-    /// The edges closing the cycle: `chain[i]` goes from `mutexes[i]` to
-    /// `mutexes[(i+1) % len]`, each carrying the spans of the two
-    /// acquire sites involved.
-    pub chain: Vec<LockEdge>,
-}
-
 /// The static lock-order graph of a [`LokProgram`].
 #[derive(Clone, Debug)]
 pub struct LockGraph {
-    /// Interned mutex names (shared index space with the program).
-    pub mutexes: Vec<String>,
-    /// The lock-order edges, deduplicated to the first witness per
-    /// `(from, to)` pair in walk order (threads in declaration order).
-    pub edges: Vec<LockEdge>,
+    /// Mutexes (shared index space with the program) and the lock-order
+    /// edges `m1 → m2`, first witness per pair in walk order (threads in
+    /// declaration order).
+    pub wait: WaitGraph<()>,
     /// The issues the walk surfaced.
     pub issues: Vec<LockIssue>,
 }
@@ -86,8 +66,7 @@ type HeldState = Vec<Option<Span>>;
 
 struct Walker<'a> {
     thread: &'a str,
-    edges: Vec<LockEdge>,
-    seen_pairs: std::collections::HashSet<(usize, usize)>,
+    edges: EdgeSet<()>,
     issues: Vec<LockIssue>,
 }
 
@@ -95,15 +74,7 @@ impl Walker<'_> {
     fn acquire(&mut self, state: &mut HeldState, mutex: usize, span: Span) {
         for (h, held) in state.iter().enumerate() {
             if let Some(held_span) = held {
-                if self.seen_pairs.insert((h, mutex)) {
-                    self.edges.push(LockEdge {
-                        from: h,
-                        to: mutex,
-                        thread: self.thread.to_owned(),
-                        held_span: *held_span,
-                        acquire_span: span,
-                    });
-                }
+                self.edges.add(h, mutex, self.thread, *held_span, span, ());
             }
         }
         if state[mutex].is_none() {
@@ -173,16 +144,13 @@ impl LockGraph {
     #[must_use]
     pub fn build(p: &LokProgram) -> LockGraph {
         let n = p.mutexes.len();
-        let mut edges = Vec::new();
-        let mut issues = Vec::new();
-        let mut seen_pairs = std::collections::HashSet::new();
+        let mut walker = Walker {
+            thread: "",
+            edges: EdgeSet::default(),
+            issues: Vec::new(),
+        };
         for thread in &p.threads {
-            let mut walker = Walker {
-                thread: &thread.name,
-                edges: Vec::new(),
-                seen_pairs: std::mem::take(&mut seen_pairs),
-                issues: Vec::new(),
-            };
+            walker.thread = &thread.name;
             let mut state: HeldState = vec![None; n];
             walker.walk(&mut state, &thread.body);
             for (m, held) in state.iter().enumerate() {
@@ -194,10 +162,8 @@ impl LockGraph {
                     });
                 }
             }
-            edges.extend(walker.edges);
-            issues.extend(walker.issues);
-            seen_pairs = walker.seen_pairs;
         }
+        let mut issues = walker.issues;
         // Loop bodies are walked twice, which can surface the same issue
         // twice; keep the first occurrence.
         let mut seen_issues = std::collections::HashSet::new();
@@ -212,107 +178,28 @@ impl LockGraph {
             })
         });
         LockGraph {
-            mutexes: p.mutexes.clone(),
-            edges,
+            wait: WaitGraph {
+                groups: p.mutexes.clone(),
+                scheme: &MUTEXES,
+                edges: walker.edges.edges,
+            },
             issues,
         }
-    }
-
-    /// Number of mutexes (= node count of the graph).
-    #[must_use]
-    pub fn num_mutexes(&self) -> usize {
-        self.mutexes.len()
     }
 
     /// The name of mutex `m`.
     #[must_use]
     pub fn mutex_name(&self, m: usize) -> &str {
-        self.mutexes.get(m).map_or("<unknown mutex>", String::as_str)
+        self.wait
+            .groups
+            .get(m)
+            .map_or("<unknown mutex>", String::as_str)
     }
 
-    /// Deterministic witness cycles: one canonical [`LockCycle`] per
-    /// non-trivial strong component (plus one per self-edge), found by a
-    /// shortest-cycle BFS from the component's smallest mutex id with
-    /// smallest-successor tie-breaking — byte-stable across runs.
+    /// The lock-order cycles ([`WaitGraph::cycles`]).
     #[must_use]
-    pub fn cycles(&self) -> Vec<LockCycle> {
-        let n = self.num_mutexes();
-        let mut g: GraphBuilder<u32> = GraphBuilder::with_nodes(n);
-        for (i, e) in self.edges.iter().enumerate() {
-            g.add_edge(e.from, e.to, i as u32);
-        }
-        let g = g.freeze();
-        let scc = Scc::compute(&g, None);
-
-        let mut out = Vec::new();
-        // Self-cycles first: a double acquire deadlocks on its own, even
-        // inside a larger component.
-        for e in &self.edges {
-            if e.from == e.to {
-                out.push(LockCycle {
-                    mutexes: vec![e.from],
-                    chain: vec![e.clone()],
-                });
-            }
-        }
-        for comp in scc.nontrivial_components(&g) {
-            // A single node is only non-trivial through a self-edge,
-            // which was already emitted above.
-            if comp.len() < 2 {
-                continue;
-            }
-            let start = comp.iter().copied().min().expect("non-empty") as usize;
-            out.push(self.shortest_cycle_through(&g, &comp, start));
-        }
-        out.sort_by(|a, b| a.mutexes.cmp(&b.mutexes));
-        out
-    }
-
-    /// Shortest cycle through `start` staying inside `comp`, successors
-    /// in edge order (the CSR keeps per-source insertion order, which is
-    /// walk order — deterministic).
-    fn shortest_cycle_through(
-        &self,
-        g: &iwa_graphs::Csr<u32>,
-        comp: &[u32],
-        start: usize,
-    ) -> LockCycle {
-        let in_comp = |v: usize| comp.contains(&(v as u32));
-        // BFS over edges from `start`; parent[v] = edge index used to
-        // first reach v.
-        let mut parent: Vec<Option<u32>> = vec![None; g.num_nodes()];
-        let mut queue = std::collections::VecDeque::from([start]);
-        let mut closing: Option<u32> = None;
-        'bfs: while let Some(u) = queue.pop_front() {
-            for (&v, &eidx) in g.successors(u).iter().zip(g.successor_labels(u)) {
-                let v = v as usize;
-                // Self-edges are reported as their own length-1 cycles.
-                if v == u {
-                    continue;
-                }
-                if v == start {
-                    closing = Some(eidx);
-                    break 'bfs;
-                }
-                if in_comp(v) && parent[v].is_none() {
-                    parent[v] = Some(eidx);
-                    queue.push_back(v);
-                }
-            }
-        }
-        let closing = closing.expect("a non-trivial SCC has a cycle through every member");
-        let mut chain = vec![self.edges[closing as usize].clone()];
-        let mut cur = chain[0].from;
-        while cur != start {
-            let eidx = parent[cur].expect("BFS reached every chain node") as usize;
-            chain.push(self.edges[eidx].clone());
-            cur = self.edges[eidx].from;
-        }
-        chain.reverse();
-        LockCycle {
-            mutexes: chain.iter().map(|e| e.from).collect(),
-            chain,
-        }
+    pub fn cycles(&self) -> Vec<WaitCycle> {
+        self.wait.cycles()
     }
 
     /// Render one issue as a human-readable warning line.
@@ -346,28 +233,17 @@ impl LockGraph {
     /// reports and lints print:
     /// `a → b → a (thread t1 holds a (2:5) while locking b (3:5); …)`.
     #[must_use]
-    pub fn render_cycle(&self, c: &LockCycle) -> String {
-        let ring: Vec<&str> = c
-            .mutexes
-            .iter()
-            .chain(c.mutexes.first())
-            .map(|&m| self.mutex_name(m))
-            .collect();
-        let sites: Vec<String> = c
-            .chain
-            .iter()
-            .map(|e| {
-                format!(
-                    "thread {} holds {} ({}) while locking {} ({})",
-                    e.thread,
-                    self.mutex_name(e.from),
-                    e.held_span,
-                    self.mutex_name(e.to),
-                    e.acquire_span
-                )
-            })
-            .collect();
-        format!("{} ({})", ring.join(" → "), sites.join("; "))
+    pub fn render_cycle(&self, c: &WaitCycle) -> String {
+        self.wait.render_cycle(c, |e| {
+            format!(
+                "thread {} holds {} ({}) while locking {} ({})",
+                e.actor,
+                self.mutex_name(e.from),
+                e.held_span,
+                self.mutex_name(e.to),
+                e.wanted_span
+            )
+        })
     }
 }
 
@@ -386,7 +262,7 @@ mod tests {
             "thread t1 { with a { with b { } } }
              thread t2 { with a { with b { } } }",
         );
-        assert_eq!(g.edges.len(), 1);
+        assert_eq!(g.wait.edges.len(), 1);
         assert!(g.cycles().is_empty());
         assert!(g.issues.is_empty());
     }
@@ -400,10 +276,11 @@ mod tests {
         let cycles = g.cycles();
         assert_eq!(cycles.len(), 1);
         let c = &cycles[0];
-        assert_eq!(c.mutexes.len(), 2);
-        assert_eq!(c.chain.len(), 2);
-        for e in &c.chain {
-            assert!(e.held_span.is_real() && e.acquire_span.is_real());
+        assert_eq!(c.resources.len(), 2);
+        assert_eq!(c.edges.len(), 2);
+        for &i in &c.edges {
+            let e = &g.wait.edges[i];
+            assert!(e.held_span.is_real() && e.wanted_span.is_real());
         }
         let rendered = g.render_cycle(c);
         assert!(rendered.contains("a → b → a"), "got: {rendered}");
@@ -415,7 +292,7 @@ mod tests {
         let g = graph("thread t { lock a; lock a; unlock a; }");
         let cycles = g.cycles();
         assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0].mutexes, [0]);
+        assert_eq!(cycles[0].resources, [0]);
     }
 
     #[test]
@@ -423,8 +300,8 @@ mod tests {
         // The inner `with a` is a double acquire; after it exits, `a` is
         // still held from the outer block, so `lock b` sees it.
         let g = graph("thread t { with a { with a { } lock b; unlock b; } }");
-        assert!(g.edges.iter().any(|e| e.from == 0 && e.to == 0));
-        assert!(g.edges.iter().any(|e| e.from == 0 && e.to == 1));
+        assert!(g.wait.edges.iter().any(|e| e.from == 0 && e.to == 0));
+        assert!(g.wait.edges.iter().any(|e| e.from == 0 && e.to == 1));
     }
 
     #[test]
@@ -436,8 +313,8 @@ mod tests {
                  unlock a; unlock b; unlock c;
              }",
         );
-        assert!(g.edges.iter().any(|e| e.from == 0 && e.to == 2), "a→c");
-        assert!(g.edges.iter().any(|e| e.from == 1 && e.to == 2), "b→c");
+        assert!(g.wait.edges.iter().any(|e| e.from == 0 && e.to == 2), "a→c");
+        assert!(g.wait.edges.iter().any(|e| e.from == 1 && e.to == 2), "b→c");
         // The unlocks release may-held mutexes: no UnlockNotHeld issues.
         assert!(g.issues.is_empty());
     }
@@ -450,9 +327,9 @@ mod tests {
         // (Mutex ids are first-mention order: b = 0, a = 1.)
         let g = graph("thread t { loop { lock b; unlock a; unlock b; lock a; } }");
         assert!(
-            g.edges.iter().any(|e| e.from == 1 && e.to == 0),
+            g.wait.edges.iter().any(|e| e.from == 1 && e.to == 0),
             "cross-iteration a→b edge missing: {:?}",
-            g.edges
+            g.wait.edges
         );
     }
 
@@ -478,8 +355,8 @@ mod tests {
         let c1 = g.cycles();
         let c2 = graph(src).cycles();
         assert_eq!(c1.len(), 1);
-        assert_eq!(c1[0].mutexes, c2[0].mutexes);
-        assert_eq!(c1[0].mutexes.len(), 3);
-        assert_eq!(c1[0].mutexes[0], 0, "canonical start = smallest id");
+        assert_eq!(c1[0].resources, c2[0].resources);
+        assert_eq!(c1[0].resources.len(), 3);
+        assert_eq!(c1[0].resources[0], 0, "canonical start = smallest id");
     }
 }

@@ -243,20 +243,7 @@ pub fn run_lints(
     passes: &[Box<dyn LintPass>],
 ) -> Result<Vec<Diagnostic>, IwaError> {
     let lcx = LintContext::new(program, ctx)?;
-    let mut out = Vec::new();
-    for pass in passes {
-        let sev = config.severity_of(pass.lint());
-        if sev == Severity::Allow {
-            continue;
-        }
-        let start = out.len();
-        pass.run(&lcx, &mut out);
-        for d in &mut out[start..] {
-            d.severity = sev;
-        }
-    }
-    postprocess(&mut out);
-    Ok(out)
+    Ok(drive(config, passes, |pass, out| pass.run(&lcx, out)))
 }
 
 /// Run `passes` over one loaded `.lok` model, with the same severity
@@ -268,20 +255,7 @@ pub fn run_lints_lok(
     config: &LintConfig,
     passes: &[Box<dyn LintPass>],
 ) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for pass in passes {
-        let sev = config.severity_of(pass.lint());
-        if sev == Severity::Allow {
-            continue;
-        }
-        let start = out.len();
-        pass.run_lok(model, &mut out);
-        for d in &mut out[start..] {
-            d.severity = sev;
-        }
-    }
-    postprocess(&mut out);
-    out
+    drive(config, passes, |pass, out| pass.run_lok(model, out))
 }
 
 /// Run `passes` over one loaded `.chan` model, with the same severity
@@ -294,6 +268,17 @@ pub fn run_lints_chan(
     config: &LintConfig,
     passes: &[Box<dyn LintPass>],
 ) -> Vec<Diagnostic> {
+    drive(config, passes, |pass, out| pass.run_chan(model, out))
+}
+
+/// The one lint driver: run each non-`Allow` pass through `run`, stamp
+/// its findings with the configured severity, then sort positionally
+/// (span, then lint name, then message) and deduplicate.
+fn drive(
+    config: &LintConfig,
+    passes: &[Box<dyn LintPass>],
+    run: impl Fn(&dyn LintPass, &mut Vec<Diagnostic>),
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for pass in passes {
         let sev = config.severity_of(pass.lint());
@@ -301,23 +286,17 @@ pub fn run_lints_chan(
             continue;
         }
         let start = out.len();
-        pass.run_chan(model, &mut out);
+        run(pass.as_ref(), &mut out);
         for d in &mut out[start..] {
             d.severity = sev;
         }
     }
-    postprocess(&mut out);
-    out
-}
-
-/// Shared finding post-processing: sort positionally (span, then lint
-/// name, then message) and deduplicate.
-fn postprocess(out: &mut Vec<Diagnostic>) {
     out.sort_by(|a, b| {
         (a.span, a.lint.as_str(), a.message.as_str())
             .cmp(&(b.span, b.lint.as_str(), b.message.as_str()))
     });
     out.dedup();
+    out
 }
 
 /// Does any finding fail the run under the exit-code contract?

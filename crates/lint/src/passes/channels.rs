@@ -45,7 +45,7 @@ impl LintPass for ChannelCycle {
         for c in &model.cycles {
             out.push(finding(
                 self.lint(),
-                c.chain[0].blocked_span,
+                model.comm_graph.wait.edges[c.edges[0]].held_span,
                 format!("channel-wait cycle: {}", model.comm_graph.render_cycle(c)),
             ));
         }

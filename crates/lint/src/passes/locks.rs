@@ -41,12 +41,12 @@ impl LintPass for LockOrderCycle {
 
     fn run_lok(&self, model: &LokModel, out: &mut Vec<Diagnostic>) {
         for c in &model.cycles {
-            if c.mutexes.len() < 2 {
+            if c.resources.len() < 2 {
                 continue; // self-cycles are `double-lock`'s
             }
             out.push(finding(
                 self.lint(),
-                c.chain[0].acquire_span,
+                model.lock_graph.wait.edges[c.edges[0]].wanted_span,
                 format!(
                     "lock-order cycle: {}",
                     model.lock_graph.render_cycle(c)
@@ -76,16 +76,16 @@ impl LintPass for DoubleLock {
 
     fn run_lok(&self, model: &LokModel, out: &mut Vec<Diagnostic>) {
         for c in &model.cycles {
-            let [m] = c.mutexes[..] else { continue };
-            let e = &c.chain[0];
+            let [m] = c.resources[..] else { continue };
+            let e = &model.lock_graph.wait.edges[c.edges[0]];
             out.push(finding(
                 self.lint(),
-                e.acquire_span,
+                e.wanted_span,
                 format!(
                     "thread {} locks {} ({}) while already holding it (locked at {})",
-                    e.thread,
+                    e.actor,
                     model.lock_graph.mutex_name(m),
-                    e.acquire_span,
+                    e.wanted_span,
                     e.held_span
                 ),
             ));

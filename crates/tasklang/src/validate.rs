@@ -65,17 +65,6 @@ pub fn model_warnings(p: &Program) -> Vec<Warning> {
     census(p).unwrap_or_default()
 }
 
-/// Check `p` against the model assumptions and return the legacy warnings.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `check_model` for errors and the `iwa-lint` registry (or \
-            `model_warnings`) for diagnostics"
-)]
-pub fn validate(p: &Program) -> Result<Vec<Warning>, IwaError> {
-    census(p)
-}
-
 fn census(p: &Program) -> Result<Vec<Warning>, IwaError> {
     let mut warnings = Vec::new();
 

@@ -20,15 +20,10 @@ cargo test --offline --manifest-path perfbench/Cargo.toml
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> cargo clippy (legacy-api on) -- -D warnings"
-# The deprecated PR-2 surface lives behind the now default-OFF
-# `legacy-api` feature; the plain workspace clippy above already proves
-# the default build is off the shims, and this stage keeps the opt-in
-# build lint-clean until the shims are removed (DESIGN.md §7).
-cargo clippy -p iwa --features legacy-api --all-targets -- -D warnings
-
-echo "==> cargo test (legacy-api shims still pinned)"
-cargo test -q -p iwa --features legacy-api --test deprecated_shims
+echo "==> cargo check --benches (iwa-bench)"
+# The root clippy above covers only the root package's targets, so no
+# other stage compiles the bench harnesses; check them here.
+cargo check --offline -p iwa-bench --benches
 
 echo "==> multi-job determinism: iwa check corpus -j 1/2/8 agree byte-for-byte"
 # A step budget (not a wall-clock one) keeps trip-vs-complete independent

@@ -1,139 +1,33 @@
 //! Cross-checks for the `.chan` channel/select frontend over
-//! `corpus/channels/`.
-//!
-//! Every fixture carries an `// expect: deadlock|livelock|clean` header.
-//! The *deadlock* half of each verdict must agree across four
-//! independent answers:
-//!
-//! 1. the communication dependency graph (cycles present iff deadlock);
-//! 2. the naive CLG cycle check on the lowered sync graph — exact for
-//!    this frontend, since every CLG cycle of the lowering traces a
-//!    port-wait cycle and vice versa;
-//! 3. the refined per-head search seeded with the frontend's wait
-//!    points;
-//! 4. the wavesim oracle in deadlock-only mode (`ignore_stalls`: the
-//!    lowering makes every task skippable, so acyclic models still
-//!    stall).
-//!
-//! The *livelock* half lives in the AST (the lowering is
-//! control-loop-free), so it is checked against the static witness list,
-//! and the engine ladder must fold both halves into one verdict:
-//! `Anomalous` iff the fixture deadlocks or livelocks.
+//! `corpus/channels/`: the shared wait-graph suite ([`wait_suite`]) plus
+//! the channel-specific witness cases and workload flavours.
 
-use iwa::analysis::{naive_analysis, AnalysisCtx, RefinedOptions};
-use iwa::engine::{analyze_model, EngineOptions, EngineVerdict};
+mod wait_suite;
+
 use iwa::frontend::{registry, Lang};
-use iwa::wavesim::{explore, ExploreConfig};
-use std::fs;
-use std::path::PathBuf;
+use wait_suite::Corpus;
 
-fn corpus_fixtures() -> Vec<(String, String)> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus/channels");
-    let mut out: Vec<(String, String)> = fs::read_dir(&dir)
-        .expect("corpus/channels exists")
-        .map(|e| e.expect("readable dir entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "chan"))
-        .map(|p| {
-            let name = p.file_name().unwrap().to_string_lossy().into_owned();
-            let src = fs::read_to_string(&p).expect("readable fixture");
-            (name, src)
-        })
-        .collect();
-    out.sort();
-    assert!(out.len() >= 9, "the channels corpus shrank: {out:?}");
-    out
-}
+const CHANNELS: Corpus = Corpus {
+    dir: "corpus/channels",
+    lang: Lang::Chan,
+};
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Expect {
-    Deadlock,
-    Livelock,
-    Clean,
-}
-
-fn expectation(name: &str, src: &str) -> Expect {
-    let header = src.lines().next().unwrap_or_default();
-    if header.contains("expect: deadlock") {
-        Expect::Deadlock
-    } else if header.contains("expect: livelock") {
-        Expect::Livelock
-    } else if header.contains("expect: clean") {
-        Expect::Clean
-    } else {
-        panic!("{name}: first line must be `// expect: deadlock|livelock|clean`, got {header:?}");
-    }
-}
-
-/// Communication graph, naive CLG check, seeded refined search, wave
-/// oracle, and the engine ladder all agree with each fixture's
-/// `// expect:` header.
+/// Wait graph, livelock witnesses, naive CLG check, seeded refined
+/// search, the wave oracle and the engine ladder all agree with each
+/// fixture's `// expect:` header.
 #[test]
 fn every_fixture_agrees_across_all_analyses() {
-    let frontend = registry::by_lang(Lang::Chan);
-    let ctx = AnalysisCtx::builder().build();
-    for (name, src) in corpus_fixtures() {
-        let expect = expectation(&name, &src);
-        let deadlock = expect == Expect::Deadlock;
-        let model = frontend.load(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let m = model.as_chan().expect("chan frontend yields a chan model");
+    CHANNELS.every_fixture_agrees();
+}
 
-        // 1. Communication dependency graph.
-        assert_eq!(
-            !m.cycles.is_empty(),
-            deadlock,
-            "{name}: comm graph cycles {:?}",
-            m.cycles
-        );
-        assert_eq!(
-            !m.livelocks.is_empty(),
-            expect == Expect::Livelock,
-            "{name}: livelock witnesses {:?}",
-            m.livelocks
-        );
+#[test]
+fn seeded_and_unseeded_refined_verdicts_match() {
+    CHANNELS.seeded_and_unseeded_refined_verdicts_match();
+}
 
-        // 2. Naive §3.1 CLG check — exact for this lowering.
-        let naive = naive_analysis(&m.sg);
-        assert_eq!(naive.deadlock_free, !deadlock, "{name}: naive");
-
-        // 3. Refined search seeded from the frontend's wait points.
-        let refined = ctx
-            .refined_seeded(&m.sg, &m.wait_points, &RefinedOptions::default())
-            .unwrap_or_else(|e| panic!("{name}: refined: {e}"));
-        assert_eq!(refined.deadlock_free, !deadlock, "{name}: refined");
-        assert_eq!(
-            refined.flagged.is_empty(),
-            !deadlock,
-            "{name}: flagged heads"
-        );
-
-        // 4. Exhaustive wave oracle, deadlock-only mode.
-        let e = explore(
-            &m.sg,
-            &ExploreConfig {
-                ignore_stalls: true,
-                ..ExploreConfig::default()
-            },
-        )
-        .unwrap_or_else(|err| panic!("{name}: oracle: {err}"));
-        assert_eq!(e.has_deadlock(), deadlock, "{name}: oracle");
-
-        // 5. The engine ladder folds both halves into one verdict.
-        let report = analyze_model(&model, &EngineOptions::default())
-            .unwrap_or_else(|err| panic!("{name}: engine: {err}"));
-        let want = if expect == Expect::Clean {
-            EngineVerdict::Clean
-        } else {
-            EngineVerdict::Anomalous
-        };
-        assert_eq!(report.verdict, want, "{name}: engine verdict");
-        assert!(!report.degraded, "{name}: engine degraded");
-        assert_eq!(
-            report.flagged.is_empty(),
-            expect == Expect::Clean,
-            "{name}: engine flagged {:?}",
-            report.flagged
-        );
-    }
+#[test]
+fn lowering_matches_the_golden() {
+    CHANNELS.lowering_matches_the_golden("tests/golden/lowered_channels.txt");
 }
 
 /// The seeded acceptance case: the spin-on-default poller is reported
@@ -141,12 +35,7 @@ fn every_fixture_agrees_across_all_analyses() {
 /// starved arm with its ranked rationale.
 #[test]
 fn select_default_spin_witness_is_span_anchored_with_rationale() {
-    let (_, src) = corpus_fixtures()
-        .into_iter()
-        .find(|(name, _)| name == "select_default_spin.chan")
-        .expect("select_default_spin.chan present");
-    let frontend = registry::by_lang(Lang::Chan);
-    let model = frontend.load(&src).unwrap();
+    let model = CHANNELS.fixture("select_default_spin.chan");
     let m = model.as_chan().unwrap();
     assert!(m.cycles.is_empty(), "no deadlock: {:?}", m.cycles);
     assert_eq!(m.livelocks.len(), 1, "one witness: {:?}", m.livelocks);
@@ -169,12 +58,7 @@ fn select_default_spin_witness_is_span_anchored_with_rationale() {
 /// witness chain walking every port and anchoring each blocked site.
 #[test]
 fn ring_three_witness_walks_the_ring_with_spans() {
-    let (_, src) = corpus_fixtures()
-        .into_iter()
-        .find(|(name, _)| name == "ring_three.chan")
-        .expect("ring_three.chan present");
-    let frontend = registry::by_lang(Lang::Chan);
-    let model = frontend.load(&src).unwrap();
+    let model = CHANNELS.fixture("ring_three.chan");
     let m = model.as_chan().unwrap();
     assert_eq!(m.cycles.len(), 1, "exactly one ring: {:?}", m.cycles);
     let witness = m.comm_graph.render_cycle(&m.cycles[0]);
@@ -210,25 +94,5 @@ fn workload_generator_flavours_have_the_documented_verdicts() {
         let m = served.as_chan().unwrap();
         assert!(m.cycles.is_empty(), "served storm({n}): {:?}", m.cycles);
         assert!(m.livelocks.is_empty(), "served storm({n})");
-    }
-}
-
-/// The channel frontend's wait-point seeds are a subset of the generic
-/// head scan, and seeding them loses nothing: the refined verdict
-/// matches the unseeded one on every fixture.
-#[test]
-fn seeded_and_unseeded_refined_verdicts_match() {
-    let frontend = registry::by_lang(Lang::Chan);
-    let ctx = AnalysisCtx::builder().build();
-    for (name, src) in corpus_fixtures() {
-        let model = frontend.load(&src).unwrap();
-        let m = model.as_chan().unwrap();
-        let opts = RefinedOptions::default();
-        let seeded = ctx.refined_seeded(&m.sg, &m.wait_points, &opts).unwrap();
-        let unseeded = ctx.refined(&m.sg, &opts).unwrap();
-        assert_eq!(
-            seeded.deadlock_free, unseeded.deadlock_free,
-            "{name}: seeding changed the verdict"
-        );
     }
 }
