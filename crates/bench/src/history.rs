@@ -1,10 +1,9 @@
 //! The tracked bench trajectory: `reports/bench_history.jsonl`.
 //!
-//! `BENCH_core.json` is a snapshot — every `iwa bench` run overwrites it,
-//! so by itself it can neither prove a speedup nor catch a slow drift.
-//! This module adds the missing time axis: one JSON line is **appended**
-//! per bench run, and the newest prior record of the same mode is the
-//! *trajectory* a run is validated against.
+//! Every `iwa bench` run **appends** one JSON line here — the only record
+//! it writes — and the newest prior record of the same mode is the
+//! *trajectory* a run is validated against. Lines are never rewritten,
+//! so the file can prove a speedup and catch a slow drift.
 //!
 //! A record carries only fields that are either deterministic for a given
 //! source tree (steps, `scc_runs`, heads examined — the workload seeds are

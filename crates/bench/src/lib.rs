@@ -1,5 +1,6 @@
 //! Shared experiment machinery: workload families, timing helpers, and
-//! table rendering for the `report` binary and the criterion benches.
+//! table rendering for the `report` binary, plus the `iwa bench` suite
+//! and its tracked trajectory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,8 +19,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, t.elapsed())
 }
 
-/// Median of repeated timings (the report uses medians of 5; criterion does
-/// proper statistics for the benches).
+/// Median of `reps` repeated timings (the report uses medians of 3 and 5).
 pub fn median_time<T>(reps: usize, mut f: impl FnMut() -> T) -> Duration {
     let mut samples: Vec<Duration> = (0..reps.max(1)).map(|_| timed(&mut f).1).collect();
     samples.sort();

@@ -1,12 +1,11 @@
-//! The `iwa bench` pipeline: drive the workload families through the
-//! engine and emit one machine-readable report (`BENCH_core.json`).
+//! The `iwa bench` suite: drive the workload families through the
+//! engine, one row per family member.
 //!
-//! The report serves two masters. As a *benchmark*, each row records the
-//! wall-clock cost of analysing one family member. As a *regression
-//! oracle*, each row embeds the engine's deterministic
-//! [`Counters`] — nodes built, cycles enumerated, pruning-rule hits —
-//! which must not drift across refactors: `scripts/ci.sh` diffs the
-//! metric halves (never the timings) of smoke runs.
+//! Each row records the wall-clock cost of analysing one family member
+//! beside the engine's deterministic [`Counters`] — nodes built, cycles
+//! enumerated, pruning-rule hits. [`crate::history`] projects a run onto
+//! one line of the tracked trajectory and gates its step counts against
+//! the newest recorded line; that line is the only record a run leaves.
 //!
 //! Every family is analysed from the [`Rung::Heads`](iwa_engine::Rung)
 //! rung under a *step* ceiling, so rung selection (and with it every
@@ -22,24 +21,14 @@ use iwa_tasklang::ast::Program;
 use iwa_workloads::adversarial::{deep_loop_nest, rendezvous_mesh, wide_branch};
 use iwa_workloads::chan::{chan_ring, chan_select_storm};
 use iwa_workloads::locks::{lock_chain, lock_mesh};
-use serde::Serialize;
-use serde_json::Value;
-
-/// Version of the `BENCH_core.json` shape. Bump on any field addition,
-/// removal, or rename; [`validate_report`] enforces the current shape.
-pub const BENCH_SCHEMA_VERSION: u32 = 1;
 
 /// One analysed family member.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct BenchRow {
     /// Stable family name (`replicated_pairs`, `relay_chain`, ...).
     pub family: String,
     /// The family's scale parameter (pairs, hops, tasks, width, ...).
     pub size: u64,
-    /// Tasks in the generated program.
-    pub tasks: u64,
-    /// Rendezvous in the generated program.
-    pub rendezvous: u64,
     /// Wall-clock milliseconds for the whole `analyze` call. The only
     /// machine-dependent field; comparisons must mask it.
     pub wall_ms: u64,
@@ -51,10 +40,8 @@ pub struct BenchRow {
 }
 
 /// The whole suite's output.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct BenchReport {
-    /// The JSON shape version ([`BENCH_SCHEMA_VERSION`]).
-    pub schema_version: u32,
     /// `"smoke"` or `"full"`.
     pub mode: String,
     /// One row per family member, in a fixed order.
@@ -134,8 +121,8 @@ fn members(smoke: bool) -> Vec<(&'static str, u64, Member)> {
     out
 }
 
-/// Run the whole suite. `smoke` shrinks the sizes for CI; the row set and
-/// schema are identical in both modes.
+/// Run the whole suite. `smoke` shrinks the sizes for CI; both modes run
+/// every family.
 #[must_use]
 pub fn run_suite(smoke: bool) -> BenchReport {
     let max_steps = if smoke { 500_000 } else { 20_000_000 };
@@ -156,27 +143,15 @@ pub fn run_suite(smoke: bool) -> BenchReport {
             // frontend's parse, effect dataflow, and lowering are part of
             // the family's cost.
             let frontend_timed = |lang: Lang, src: String| {
-                let (outcome, wall) = timed(|| {
+                timed(|| {
                     let model = frontends::by_lang(lang)
                         .load(&src)
                         .expect("generated frontend families are valid");
-                    let report = analyze_model(&model, &opts);
-                    let sg = model.sync_graph();
-                    (sg.num_tasks as u64, sg.num_rendezvous() as u64, report)
-                });
-                let (tasks, rendezvous, report) = outcome;
-                (tasks, rendezvous, report, wall)
+                    analyze_model(&model, &opts)
+                })
             };
-            let (tasks, rendezvous, report, wall) = match member {
-                Member::Iwa(program) => {
-                    let (report, wall) = timed(|| analyze(&program, &opts));
-                    (
-                        program.num_tasks() as u64,
-                        program.num_rendezvous() as u64,
-                        report,
-                        wall,
-                    )
-                }
+            let (report, wall) = match member {
+                Member::Iwa(program) => timed(|| analyze(&program, &opts)),
                 Member::Lok(src) => frontend_timed(Lang::Lok, src),
                 Member::Chan(src) => frontend_timed(Lang::Chan, src),
             };
@@ -184,8 +159,6 @@ pub fn run_suite(smoke: bool) -> BenchReport {
             BenchRow {
                 family: family.to_owned(),
                 size,
-                tasks,
-                rendezvous,
                 wall_ms: wall.as_millis().try_into().unwrap_or(u64::MAX),
                 steps: report.attempts.iter().map(|a| a.steps).sum(),
                 metrics: metrics.snapshot(),
@@ -193,63 +166,9 @@ pub fn run_suite(smoke: bool) -> BenchReport {
         })
         .collect();
     BenchReport {
-        schema_version: BENCH_SCHEMA_VERSION,
         mode: if smoke { "smoke" } else { "full" }.to_owned(),
         rows,
     }
-}
-
-/// Validate a parsed `BENCH_core.json` against the current schema:
-/// version, mode, row fields, and a complete counter block per row.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first violation.
-pub fn validate_report(v: &Value) -> Result<(), String> {
-    let version = v
-        .get("schema_version")
-        .and_then(Value::as_u64)
-        .ok_or("missing numeric schema_version")?;
-    if version != u64::from(BENCH_SCHEMA_VERSION) {
-        return Err(format!(
-            "schema_version {version} != supported {BENCH_SCHEMA_VERSION}"
-        ));
-    }
-    match v.get("mode").and_then(Value::as_str) {
-        Some("smoke" | "full") => {}
-        other => return Err(format!("mode must be \"smoke\" or \"full\", got {other:?}")),
-    }
-    let rows = v
-        .get("rows")
-        .and_then(Value::as_array)
-        .ok_or("missing rows array")?;
-    if rows.is_empty() {
-        return Err("rows is empty".to_owned());
-    }
-    // The counter block must carry exactly the keys `Counters` serializes
-    // today — derived from the type, so this check can never go stale.
-    let counter_keys: Vec<String> = match serde_json::to_value(&Counters::default()) {
-        Ok(Value::Object(entries)) => entries.into_iter().map(|(k, _)| k).collect(),
-        _ => unreachable!("Counters serializes as an object"),
-    };
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = |what: &str| format!("rows[{i}]: {what}");
-        if row.get("family").and_then(Value::as_str).is_none() {
-            return Err(ctx("missing string family"));
-        }
-        for field in ["size", "tasks", "rendezvous", "wall_ms", "steps"] {
-            if row.get(field).and_then(Value::as_u64).is_none() {
-                return Err(ctx(&format!("missing numeric {field}")));
-            }
-        }
-        let metrics = row.get("metrics").ok_or_else(|| ctx("missing metrics"))?;
-        for key in &counter_keys {
-            if metrics.get(key).and_then(Value::as_u64).is_none() {
-                return Err(ctx(&format!("metrics missing numeric {key}")));
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -257,23 +176,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn the_smoke_suite_validates_against_its_own_schema() {
+    fn the_smoke_suite_runs_every_family() {
         let report = run_suite(true);
-        let v = serde_json::to_value(&report).unwrap();
-        validate_report(&v).unwrap();
         assert!(report.rows.iter().any(|r| r.family == "rendezvous_mesh"));
         // The suite must exercise the refined pipeline: some family
         // produces head examinations, else the regression oracle is blind.
         assert!(report.rows.iter().any(|r| r.metrics.heads_examined > 0));
-        // The .lok and .chan families ride along, with real model sizes
-        // recorded.
+        // The .lok and .chan families ride along and do real work.
         for fam in ["lock_chain", "lock_mesh", "chan_ring", "chan_select_storm"] {
             let row = report
                 .rows
                 .iter()
                 .find(|r| r.family == fam)
                 .unwrap_or_else(|| panic!("{fam} missing"));
-            assert!(row.tasks > 0 && row.rendezvous > 0, "{fam}: {row:?}");
+            assert!(row.steps > 0, "{fam}: {row:?}");
         }
     }
 
@@ -286,19 +202,5 @@ mod tests {
             assert_eq!(ra.metrics, rb.metrics, "family {}", ra.family);
             assert_eq!(ra.steps, rb.steps, "family {}", ra.family);
         }
-    }
-
-    #[test]
-    fn the_validator_rejects_a_wrong_version_and_missing_counters() {
-        let mut v = serde_json::to_value(&run_suite(true)).unwrap();
-        if let Value::Object(entries) = &mut v {
-            for (k, val) in entries.iter_mut() {
-                if k == "schema_version" {
-                    *val = Value::UInt(999);
-                }
-            }
-        }
-        assert!(validate_report(&v).unwrap_err().contains("schema_version"));
-        assert!(validate_report(&Value::Object(vec![])).is_err());
     }
 }

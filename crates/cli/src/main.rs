@@ -23,11 +23,10 @@ use iwa_core::{Budget, FaultPlan, IwaError};
 use iwa_engine::{
     CheckOptions, EngineOptions, EngineReport, EngineVerdict, LintStage, Rung, SCHEMA_VERSION,
 };
-use iwa_frontend::{registry as frontends, Lang, ModelIr};
+use iwa_frontend::{registry as frontends, Lang};
 use iwa_lint::render::{render_diagnostic, render_diagnostics, render_parse_error};
 use iwa_lint::{
-    quick_registry, registry, registry_for, run_lints, run_lints_chan, run_lints_lok, Diagnostic,
-    LintConfig, Severity,
+    lint_model, quick_registry, registry, registry_for, run_lints, Diagnostic, LintConfig, Severity,
 };
 use iwa_syncgraph::{dot, Clg, SyncGraph};
 use iwa_tasklang::{parse, Program};
@@ -95,8 +94,8 @@ USAGE:
     iwa lint    <file | dir> [OPTIONS]         run the lint catalog
     iwa lint    --explain [<lint>]             describe one lint, or list
                                                the catalog per frontend
-    iwa bench   [--smoke] [--out PATH] [--validate [FILE]] [--label NAME]
-                [--history PATH] [--no-history]
+    iwa bench   [--smoke] [--validate] [--label NAME] [--history PATH]
+                [--no-history]
     iwa serve   [OPTIONS]                      persistent analysis daemon
     iwa serve-bench [OPTIONS]                  replay benchmark against a daemon
     iwa graph   <file.iwa | fixture:NAME> [--clg]
@@ -142,12 +141,8 @@ ANALYZE OPTIONS:
     (a budget flag switches analyze to the degradation ladder)
 
 BENCH OPTIONS:
-    --smoke                        CI-sized workloads (same schema)
-    --out PATH                     where to write the snapshot report
-                                   (default: BENCH_core.json)
-    --validate FILE                validate an existing report against the
-                                   schema instead of running the suite
-    --validate                     (no file) gate this run against the last
+    --smoke                        CI-sized workloads (same families)
+    --validate                     gate this run against the last
                                    same-mode trajectory record; fail on a
                                    >15% step regression on any family
     --history PATH                 trajectory file to append to / gate against
@@ -368,11 +363,12 @@ fn analyze(args: &[String]) -> Result<ExitCode, String> {
         write_trace(path, sink)?;
     }
 
-    // Downstream graph consumers need the inlined form.
-    let program_inlined = iwa_tasklang::transforms::inline_procs(&program)
-        .map_err(|e| e.to_string())?;
-    let sg = SyncGraph::from_program(&program_inlined);
     let oracle = if want_oracle {
+        // The oracle explores the program's own (inlined, never unrolled)
+        // graph.
+        let inlined =
+            iwa_tasklang::transforms::inline_procs(&program).map_err(|e| e.to_string())?;
+        let sg = SyncGraph::from_program(&inlined);
         let e = explore(&sg, &ExploreConfig::default()).map_err(|e| e.to_string())?;
         let witness = e
             .witnesses
@@ -396,27 +392,24 @@ fn analyze(args: &[String]) -> Result<ExitCode, String> {
         None
     };
 
-    // Describe flagged heads in source terms.
-    let analysed_sg = if cert.was_unrolled {
-        SyncGraph::from_program(&iwa_tasklang::transforms::unroll_twice(&program_inlined))
-    } else {
-        sg
-    };
+    // Describe flagged heads in source terms, on the graph `certify`
+    // analysed.
+    let sg = &cert.sg;
     let flagged: Vec<String> = cert
         .refined
         .flagged
         .iter()
         .map(|f| {
-            let d = analysed_sg.node(f.head);
+            let d = sg.node(f.head);
             let name = d
                 .label
                 .clone()
                 .unwrap_or_else(|| format!("node {}", f.head));
             format!(
                 "{} at {} ({}{})",
-                analysed_sg.symbols.task_name(d.task),
+                sg.symbols.task_name(d.task),
                 name,
-                analysed_sg.symbols.signal_name(d.rendezvous.signal),
+                sg.symbols.signal_name(d.rendezvous.signal),
                 d.rendezvous.sign
             )
         })
@@ -500,13 +493,10 @@ fn analyze_frontend(
         for w in &model.warnings {
             println!("warning   : {w}");
         }
-        let diags = match &model.ir {
-            ModelIr::Lok(m) => run_lints_lok(m, &LintConfig::default(), &registry_for(Lang::Lok)),
-            ModelIr::Chan(m) => {
-                run_lints_chan(m, &LintConfig::default(), &registry_for(Lang::Chan))
-            }
-            ModelIr::Tasklang(_) => Vec::new(), // unreachable: gated above
-        };
+        let ctx = AnalysisCtx::builder().build();
+        let passes = registry_for(model.lang);
+        let diags =
+            lint_model(&ctx, &model, &LintConfig::default(), &passes).map_err(|e| e.to_string())?;
         for d in &diags {
             print!("{}", render_diagnostic(spec, &src, d));
         }
@@ -751,11 +741,7 @@ fn write_trace(path: &str, sink: &TraceSink) -> Result<(), String> {
 
 fn bench(args: &[String]) -> Result<ExitCode, String> {
     let mut smoke = false;
-    let mut out: Option<String> = None;
-    // `--validate FILE` checks a snapshot's schema; bare `--validate` gates
-    // this run against the recorded trajectory.
-    let mut validate_file: Option<String> = None;
-    let mut validate_trajectory = false;
+    let mut validate = false;
     let mut history = iwa_bench::history::DEFAULT_HISTORY_PATH.to_owned();
     let mut no_history = false;
     let mut label = String::new();
@@ -769,34 +755,13 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
         };
         match args[i].as_str() {
             "--smoke" => smoke = true,
-            "--out" => out = Some(takes_value(&mut i, "--out")?),
+            "--validate" => validate = true,
             "--history" => history = takes_value(&mut i, "--history")?,
             "--no-history" => no_history = true,
             "--label" => label = takes_value(&mut i, "--label")?,
-            "--validate" => {
-                // A following non-flag operand means "validate this
-                // snapshot's schema"; otherwise gate the trajectory.
-                match args.get(i + 1) {
-                    Some(next) if !next.starts_with("--") => {
-                        validate_file = Some(next.clone());
-                        i += 1;
-                    }
-                    _ => validate_trajectory = true,
-                }
-            }
             other => return Err(format!("unexpected argument '{other}'")),
         }
         i += 1;
-    }
-
-    if let Some(path) = validate_file {
-        let src = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {path}: {e}"))?;
-        let v = serde_json::from_str(&src)
-            .map_err(|e| format!("{path}: invalid JSON: {e}"))?;
-        iwa_bench::suite::validate_report(&v).map_err(|e| format!("{path}: {e}"))?;
-        println!("{path}: valid (schema v{})", iwa_bench::suite::BENCH_SCHEMA_VERSION);
-        return Ok(ExitCode::SUCCESS);
     }
 
     let report = iwa_bench::suite::run_suite(smoke);
@@ -807,9 +772,9 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
         );
     }
 
-    // Gate against the trajectory BEFORE writing anything: a regressing run
-    // must neither pollute the history nor look like a fresh baseline.
-    if validate_trajectory {
+    // Gate against the trajectory BEFORE appending: a regressing run must
+    // neither pollute the history nor look like a fresh baseline.
+    if validate {
         let lines = iwa_bench::history::validate_trajectory(
             &history,
             &report,
@@ -822,14 +787,6 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
         }
     }
 
-    let path = out.unwrap_or_else(|| "BENCH_core.json".to_owned());
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!(
-        "wrote {path} ({} rows, mode {})",
-        report.rows.len(),
-        report.mode
-    );
     if !no_history {
         let record = iwa_bench::history::HistoryRecord::from_report(&report, &label);
         iwa_bench::history::append(&history, &record)?;
@@ -1154,34 +1111,18 @@ fn lint(args: &[String]) -> Result<ExitCode, String> {
         let display = path.display().to_string();
         let src = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {display}: {e}"))?;
-        let frontend = frontend_for(&display, common.lang);
-        let lang = frontend.lang();
-        let diags = match lang {
-            Lang::Tasklang => {
-                let program = match parse(&src) {
-                    Ok(p) => p,
-                    Err(e) => return Err(parse_failure(&display, &src, &e)),
-                };
-                run_lints(&ctx, &program, &config, &registry_for(lang))
-                    .map_err(|e| format!("{display}: {e}"))?
-            }
-            Lang::Lok => {
-                let model = frontend
-                    .load(&src)
-                    .map_err(|e| parse_failure(&display, &src, &e))?;
-                let lok = model.as_lok().expect("the lok frontend produced this model");
-                run_lints_lok(lok, &config, &registry_for(lang))
-            }
-            Lang::Chan => {
-                let model = frontend
-                    .load(&src)
-                    .map_err(|e| parse_failure(&display, &src, &e))?;
-                let chan = model.as_chan().expect("the chan frontend produced this model");
-                run_lints_chan(chan, &config, &registry_for(lang))
-            }
-        };
+        // A parse error gets the caret excerpt; a model violation, like a
+        // failed lint, gets the path prefix.
+        let model = frontend_for(&display, common.lang)
+            .load(&src)
+            .map_err(|e| match e {
+                IwaError::Parse { .. } => parse_failure(&display, &src, &e),
+                other => format!("{display}: {other}"),
+            })?;
+        let diags = lint_model(&ctx, &model, &config, &registry_for(model.lang))
+            .map_err(|e| format!("{display}: {e}"))?;
         sources.push(src);
-        per_file.push((display, lang.name().to_owned(), diags));
+        per_file.push((display, model.lang.name().to_owned(), diags));
     }
 
     match format.as_str() {

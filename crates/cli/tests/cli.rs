@@ -214,7 +214,7 @@ fn check_emits_json_and_survives_an_injected_panic() {
     std::fs::write(dir.join("zzz.iwa"), CLEAN).unwrap();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_iwa"))
         .args(["check", dir.to_str().unwrap(), "--json"])
-        .env("IWA_FAULT_INJECT", "detonator-e2e")
+        .env("IWA_FAULT_PLAN", "check-file=panic:label=detonator-e2e")
         .output()
         .expect("binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -496,46 +496,35 @@ fn ladder_mode_trace_out_records_rung_spans() {
 // --------------------------------------------------------------- bench
 
 #[test]
-fn bench_smoke_writes_a_report_that_its_own_validator_accepts() {
+fn bench_smoke_appends_one_trajectory_line_and_writes_nothing_else() {
     let dir = scratch("bench-smoke");
-    let out_path = dir.join("BENCH_core.json");
     let hist_path = dir.join("bench_history.jsonl");
-    let hist = hist_path.to_str().unwrap();
-    let (out, err, code) = iwa(&[
-        "bench",
-        "--smoke",
-        "--out",
-        out_path.to_str().unwrap(),
-        "--history",
-        hist,
-    ]);
+    let bench = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_iwa"))
+            .current_dir(&dir)
+            .args(["bench", "--smoke", "--history", "bench_history.jsonl"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        (
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+            out.status.code(),
+        )
+    };
+    let (out, err, code) = bench(&[]);
     assert_eq!(code, Some(0), "{err}");
-    assert!(out.contains("wrote"), "{out}");
     assert!(out.contains("appended"), "{out}");
+    // The trajectory line is the only record a run writes.
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(files, ["bench_history.jsonl"]);
 
-    let text = std::fs::read_to_string(&out_path).unwrap();
-    let v: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
-    assert_eq!(v["schema_version"], 1);
-    assert_eq!(v["mode"], "smoke");
-    assert!(!v["rows"].as_array().unwrap().is_empty());
-
-    let (out, err, code) = iwa(&["bench", "--validate", out_path.to_str().unwrap()]);
-    assert_eq!(code, Some(0), "{err}");
-    assert!(out.contains("valid"), "{out}");
-
-    // Bare --validate gates against the record the first run appended;
+    // --validate gates against the record the first run appended;
     // an identical rerun must pass on every row and append a second line.
-    let (out, err, code) = iwa(&[
-        "bench",
-        "--smoke",
-        "--out",
-        out_path.to_str().unwrap(),
-        "--history",
-        hist,
-        "--validate",
-        "--label",
-        "rerun",
-    ]);
+    let (out, err, code) = bench(&["--validate", "--label", "rerun"]);
     assert_eq!(code, Some(0), "{err}");
     assert!(out.contains("trajectory check"), "{out}");
     assert!(out.contains("(ok)"), "{out}");
@@ -543,26 +532,24 @@ fn bench_smoke_writes_a_report_that_its_own_validator_accepts() {
     assert_eq!(lines, 2);
 
     // --no-history runs the suite without touching the trajectory.
-    let (out, err, code) = iwa(&[
-        "bench",
-        "--smoke",
-        "--out",
-        out_path.to_str().unwrap(),
-        "--history",
-        hist,
-        "--no-history",
-    ]);
+    let (out, err, code) = bench(&["--no-history"]);
     assert_eq!(code, Some(0), "{err}");
     assert!(!out.contains("appended"), "{out}");
     let lines = std::fs::read_to_string(&hist_path).unwrap().lines().count();
     assert_eq!(lines, 2);
+
+    // No snapshot flags: `--out` is unknown and `--validate` takes no file.
+    for extra in [&["--out", "x.json"][..], &["--validate", "x.json"]] {
+        let (_, err, code) = bench(extra);
+        assert_eq!(code, Some(2), "{extra:?}: {err}");
+        assert!(err.contains("unexpected argument"), "{err}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn bench_trajectory_gate_rejects_a_step_regression() {
     let dir = scratch("bench-trajectory");
-    let out_path = dir.join("BENCH_core.json");
     let hist_path = dir.join("bench_history.jsonl");
     // A fabricated trajectory whose steps are impossibly low: the real
     // run must exceed it by far more than 15% and be rejected without
@@ -577,8 +564,6 @@ fn bench_trajectory_gate_rejects_a_step_regression() {
     let (_, err, code) = iwa(&[
         "bench",
         "--smoke",
-        "--out",
-        out_path.to_str().unwrap(),
         "--history",
         hist_path.to_str().unwrap(),
         "--validate",
@@ -587,17 +572,6 @@ fn bench_trajectory_gate_rejects_a_step_regression() {
     assert!(err.contains("regression"), "{err}");
     let lines = std::fs::read_to_string(&hist_path).unwrap().lines().count();
     assert_eq!(lines, 1, "a failing run must not append");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn bench_validate_rejects_a_malformed_report() {
-    let dir = scratch("bench-invalid");
-    let bad = dir.join("bad.json");
-    std::fs::write(&bad, "{}").unwrap();
-    let (_, err, code) = iwa(&["bench", "--validate", bad.to_str().unwrap()]);
-    assert_ne!(code, Some(0));
-    assert!(!err.is_empty());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -38,10 +38,7 @@
 //! Example: `parse=panic:times=1;certify=sleep:250:skip=2` — the first
 //! parse panics, and every certification after the second stalls 250 ms.
 //!
-//! The legacy `IWA_FAULT_INJECT=SUBSTR` environment hook (PR 1) is kept
-//! as an alias for the one-site plan
-//! `check-file=panic:label=SUBSTR`; [`FaultPlan::from_env`] reads both
-//! variables.
+//! [`FaultPlan::from_env`] reads a plan spec from [`FAULT_PLAN_ENV`].
 
 use crate::error::IwaError;
 use std::fmt;
@@ -52,11 +49,6 @@ use std::time::Duration;
 
 /// Environment variable holding a full [`FaultPlan`] spec.
 pub const FAULT_PLAN_ENV: &str = "IWA_FAULT_PLAN";
-
-/// Legacy single-site environment hook: a non-empty value `SUBSTR` is
-/// the plan `check-file=panic:label=SUBSTR` (panic while batch-checking
-/// any file whose path contains the value).
-pub const LEGACY_FAULT_ENV: &str = "IWA_FAULT_INJECT";
 
 /// A named injection site — a point in the engine or serve daemon where
 /// a fault plan may interpose.
@@ -73,8 +65,7 @@ pub enum FaultSite {
     CacheLookup,
     /// Response frame write-back (serve daemon).
     ResponseWrite,
-    /// Per-file batch-check boundary (the legacy `IWA_FAULT_INJECT`
-    /// site; the label is the file path).
+    /// Per-file batch-check boundary (the label is the file path).
     CheckFile,
 }
 
@@ -253,41 +244,13 @@ impl FaultPlan {
         })
     }
 
-    /// A one-rule plan (used for the legacy env alias and tests).
-    #[must_use]
-    pub fn single(site: FaultSite, action: FaultAction, label: Option<String>) -> FaultPlan {
-        let spec = format!(
-            "{site}={action}{}",
-            label.as_deref().map(|l| format!(":label={l}")).unwrap_or_default()
-        );
-        FaultPlan {
-            rules: Arc::new(vec![Rule {
-                site,
-                action,
-                skip: 0,
-                times: u64::MAX,
-                label,
-                hits: AtomicU64::new(0),
-            }]),
-            spec: Arc::from(spec.as_str()),
-        }
-    }
-
-    /// Read a plan from the environment: [`FAULT_PLAN_ENV`] takes
-    /// precedence; a non-empty [`LEGACY_FAULT_ENV`] maps to the one-site
-    /// legacy panic rule. `Ok(None)` when neither is set.
+    /// Read a plan from [`FAULT_PLAN_ENV`]. `Ok(None)` when it is unset
+    /// or empty.
     pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        if let Some(spec) = std::env::var(FAULT_PLAN_ENV).ok().filter(|s| !s.is_empty()) {
-            return FaultPlan::parse(&spec).map(Some);
+        match std::env::var(FAULT_PLAN_ENV).ok().filter(|s| !s.is_empty()) {
+            Some(spec) => FaultPlan::parse(&spec).map(Some),
+            None => Ok(None),
         }
-        if let Some(pat) = std::env::var(LEGACY_FAULT_ENV).ok().filter(|s| !s.is_empty()) {
-            return Ok(Some(FaultPlan::single(
-                FaultSite::CheckFile,
-                FaultAction::Panic,
-                Some(pat),
-            )));
-        }
-        Ok(None)
     }
 
     /// The spec string this plan was built from.
@@ -447,7 +410,7 @@ mod tests {
 
     #[test]
     fn panic_action_panics_with_an_injected_message() {
-        let plan = FaultPlan::single(FaultSite::CheckFile, FaultAction::Panic, None);
+        let plan = FaultPlan::parse("check-file=panic").unwrap();
         let payload = std::panic::catch_unwind(|| {
             let _ = plan.fire(FaultSite::CheckFile, "boom.iwa");
         })
@@ -455,21 +418,6 @@ mod tests {
         let msg = payload.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("injected fault"), "{msg}");
         assert!(msg.contains("check-file"), "{msg}");
-    }
-
-    #[test]
-    fn the_legacy_single_rule_matches_by_label_substring() {
-        let plan = FaultPlan::single(
-            FaultSite::CheckFile,
-            FaultAction::Panic,
-            Some("detonator".into()),
-        );
-        assert_eq!(plan.decide(FaultSite::CheckFile, "corpus/clean.iwa"), None);
-        assert_eq!(
-            plan.decide(FaultSite::CheckFile, "corpus/detonator-e2e.iwa"),
-            Some(FaultAction::Panic)
-        );
-        assert!(plan.spec().contains("check-file=panic:label=detonator"));
     }
 
     #[test]

@@ -15,31 +15,18 @@
 //! `IWA_FAULT_PLAN` environment variable): rules fire at the
 //! `check-file` site (label: the file path) before the file is read and
 //! at the `parse` site before it is parsed, on top of the rung-level
-//! sites the engine ladder fires itself. The legacy single-site hook —
-//! [`FAULT_INJECT_ENV`] set to a path substring panics while checking
-//! matching files — still works as an alias for
-//! `check-file=panic:label=<substring>`.
+//! sites the engine ladder fires itself.
 
 use crate::ladder::{analyze_model, EngineOptions, EngineReport, EngineVerdict, Rung, SCHEMA_VERSION};
 use iwa_core::fault::{FaultPlan, FaultSite};
 use iwa_core::obs::{Counters, Meta};
 use iwa_core::{pool, Budget, IwaError};
-use iwa_frontend::{registry as frontends, Lang, ModelIr};
-use iwa_lint::{
-    quick_registry, registry, registry_for, run_lints, run_lints_chan, run_lints_lok, Diagnostic,
-    LintConfig,
-};
+use iwa_frontend::{registry as frontends, Lang};
+use iwa_lint::{lint_model, quick_registry, registry_for, Diagnostic, LintConfig};
 use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-
-/// Name of the legacy fault-injection environment variable: when set and
-/// non-empty, any checked file whose path contains the value panics
-/// mid-analysis. Kept as an alias for the one-site plan
-/// `check-file=panic:label=<value>`; `IWA_FAULT_PLAN` (the full
-/// [`FaultPlan`] grammar) takes precedence when both are set.
-pub const FAULT_INJECT_ENV: &str = iwa_core::fault::LEGACY_FAULT_ENV;
 
 /// Bounded retry policy for transient `io-error` outcomes in
 /// [`check_batch`]. Off by default (`max_attempts` 1 = no retries), so
@@ -108,12 +95,15 @@ pub enum LintStage {
     /// No lint stage; `diagnostics` stays empty.
     #[default]
     Off,
-    /// The AST-level lints only ([`quick_registry`]) — cheap enough to
-    /// ride along with every analysis, and the stage `iwa check` uses to
-    /// surface the legacy `validate` warnings it used to drop.
+    /// The AST-level tasklang lints ([`quick_registry`]) and every
+    /// `.lok`/`.chan` lint (those all read the precomputed model) — cheap
+    /// enough to ride along with every analysis, and the stage `iwa
+    /// check` uses to surface the legacy `validate` warnings it used to
+    /// drop.
     Quick,
-    /// The full catalog ([`registry`]), including the sync-graph lints
-    /// that re-run the refined and stall analyses.
+    /// The file language's whole catalog ([`registry_for`]), including
+    /// the tasklang sync-graph lints that re-run the refined and stall
+    /// analyses.
     Full,
 }
 
@@ -138,9 +128,9 @@ pub struct CheckOptions {
     /// Severity configuration for the lint stage.
     pub lint_config: LintConfig,
     /// Structured fault plan for chaos testing. `None` (the default)
-    /// falls back to the environment (`IWA_FAULT_PLAN`, or the legacy
-    /// [`FAULT_INJECT_ENV`] alias). The plan is also threaded into each
-    /// file's engine options so rung-level sites fire.
+    /// falls back to the `IWA_FAULT_PLAN` environment variable. The plan
+    /// is also threaded into each file's engine options so rung-level
+    /// sites fire.
     pub faults: Option<FaultPlan>,
     /// Bounded retry policy for transient `io-error` outcomes; the
     /// default (1 attempt) disables retries. Retries are counted in
@@ -391,30 +381,17 @@ fn check_attempt(
         Ok(report) => report,
         Err(e) => return Checked::Invalid(e),
     };
+    let passes = match (lint, model.lang) {
+        (LintStage::Off, _) => return Checked::Report(report, Vec::new()),
+        (LintStage::Quick, Lang::Tasklang) => quick_registry(),
+        (LintStage::Quick | LintStage::Full, lang) => registry_for(lang),
+    };
     // The model analysed cleanly, so the lint context builds; a
     // budget-tripped graph lint degrades to silence, not an error.
-    let diagnostics = match (&model.ir, lint) {
-        (_, LintStage::Off) => Vec::new(),
-        (ModelIr::Tasklang(program), LintStage::Quick) => {
-            let ctx = iwa_analysis::AnalysisCtx::builder().build();
-            run_lints(&ctx, program, lint_config, &quick_registry()).unwrap_or_default()
-        }
-        (ModelIr::Tasklang(program), LintStage::Full) => {
-            let ctx = iwa_analysis::AnalysisCtx::builder()
-                .workers(opts.workers)
-                .build();
-            run_lints(&ctx, program, lint_config, &registry()).unwrap_or_default()
-        }
-        // Every `.lok` lint runs on the precomputed lock graph, so the
-        // quick/full split collapses for this frontend.
-        (ModelIr::Lok(m), LintStage::Quick | LintStage::Full) => {
-            run_lints_lok(m, lint_config, &registry_for(Lang::Lok))
-        }
-        // Likewise for `.chan`: every lint reads the precomputed model.
-        (ModelIr::Chan(m), LintStage::Quick | LintStage::Full) => {
-            run_lints_chan(m, lint_config, &registry_for(Lang::Chan))
-        }
-    };
+    let ctx = iwa_analysis::AnalysisCtx::builder()
+        .workers(opts.workers)
+        .build();
+    let diagnostics = lint_model(&ctx, &model, lint_config, &passes).unwrap_or_default();
     Checked::Report(report, diagnostics)
 }
 

@@ -29,7 +29,7 @@ pub mod ladder;
 
 pub use check::{
     check_batch, collect_files, collect_sources, CheckOptions, CheckSummary, CollectedSources,
-    FileOutcome, LintStage, RetryPolicy, FAULT_INJECT_ENV,
+    FileOutcome, LintStage, RetryPolicy,
 };
 pub use ladder::{
     analyze, analyze_model, analyze_wait, EngineOptions, EngineReport, EngineVerdict, Rung,

@@ -1,9 +1,8 @@
 //! Batch-driver behaviour: corpus walking, panic isolation, the error
 //! taxonomy, and the exit-code contract.
 
-use iwa_engine::{
-    check_batch, collect_files, CheckOptions, EngineOptions, EngineVerdict, Rung, FAULT_INJECT_ENV,
-};
+use iwa_core::FaultPlan;
+use iwa_engine::{check_batch, collect_files, CheckOptions, EngineOptions, EngineVerdict, Rung};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
@@ -146,14 +145,17 @@ fn degradation_without_anomalies_exits_3() {
 fn injected_panics_are_isolated_and_the_run_continues() {
     let dir = scratch("fault");
     std::fs::write(dir.join("aaa-sound.iwa"), CLEAN).unwrap();
-    // The marker is unique to this test's files, so the process-global
-    // env var cannot affect concurrently running tests.
     std::fs::write(dir.join("kaboom-marker-q7.iwa"), CLEAN).unwrap();
     std::fs::write(dir.join("zzz-sound.iwa"), CLEAN).unwrap();
 
-    std::env::set_var(FAULT_INJECT_ENV, "kaboom-marker-q7");
-    let summary = check_batch(&collect_files(&dir).unwrap(), &CheckOptions::default());
-    std::env::remove_var(FAULT_INJECT_ENV);
+    let faults = FaultPlan::parse("check-file=panic:label=kaboom-marker-q7").unwrap();
+    let summary = check_batch(
+        &collect_files(&dir).unwrap(),
+        &CheckOptions {
+            faults: Some(faults),
+            ..CheckOptions::default()
+        },
+    );
 
     assert_eq!(summary.total, 3);
     assert_eq!(summary.panicked, 1);

@@ -27,7 +27,7 @@
 
 use iwa_analysis::AnalysisCtx;
 use iwa_core::{IwaError, Span};
-use iwa_frontend::{ChanModel, LokModel};
+use iwa_frontend::{ChanModel, LoadedModel, LokModel, ModelIr};
 use iwa_tasklang::Program;
 use serde::Serialize;
 use std::fmt;
@@ -269,6 +269,25 @@ pub fn run_lints_chan(
     passes: &[Box<dyn LintPass>],
 ) -> Vec<Diagnostic> {
     drive(config, passes, |pass, out| pass.run_chan(model, out))
+}
+
+/// Run `passes` over a loaded model of any language with that
+/// language's entry point ([`run_lints`], [`run_lints_lok`] or
+/// [`run_lints_chan`]). `ctx` feeds the tasklang graph lints; the `.lok`
+/// and `.chan` lints read only the model.
+///
+/// Fails only where [`run_lints`] does.
+pub fn lint_model(
+    ctx: &AnalysisCtx,
+    model: &LoadedModel,
+    config: &LintConfig,
+    passes: &[Box<dyn LintPass>],
+) -> Result<Vec<Diagnostic>, IwaError> {
+    match &model.ir {
+        ModelIr::Tasklang(program) => run_lints(ctx, program, config, passes),
+        ModelIr::Lok(m) => Ok(run_lints_lok(m, config, passes)),
+        ModelIr::Chan(m) => Ok(run_lints_chan(m, config, passes)),
+    }
 }
 
 /// The one lint driver: run each non-`Allow` pass through `run`, stamp

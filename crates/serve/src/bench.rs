@@ -318,8 +318,8 @@ pub fn run_bench(opts: &ServeBenchOptions) -> Result<Value, String> {
     ]))
 }
 
-/// Validate a `BENCH_serve.json` tree against the schema, the same way
-/// `iwa bench --validate` checks `BENCH_core.json`.
+/// Validate a `BENCH_serve.json` tree against the schema (what
+/// `iwa serve-bench --validate` runs).
 pub fn validate_report(v: &Value) -> Result<(), String> {
     let version = v
         .get("schema_version")

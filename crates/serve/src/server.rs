@@ -29,7 +29,7 @@ use iwa_core::fault::{FaultAction, FaultPlan, FaultSite};
 use iwa_core::{Budget, CancelToken};
 use iwa_engine::{CheckOptions, EngineOptions, LintStage, RetryPolicy, Rung};
 use iwa_frontend::{registry as frontends, Lang};
-use iwa_lint::{registry_for, run_lints, run_lints_chan, run_lints_lok, LintConfig};
+use iwa_lint::{lint_model, registry_for, LintConfig};
 use serde::{Serialize, Value};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -797,37 +797,19 @@ fn run_request(shared: &Arc<Shared>, req: &Request, deadline: Duration, cancel: 
         }
         Op::Lint => {
             let source = req.source.as_deref().unwrap_or_default();
-            let diagnostics = match lang {
-                Lang::Tasklang => {
-                    let program = match iwa_tasklang::parse(source) {
-                        Ok(p) => p,
-                        Err(e) => return Response::error(Value::Null, e.to_string()),
-                    };
-                    let budget =
-                        Budget::with_deadline(deadline).and_cancel_token(cancel.clone());
-                    let ctx = iwa_analysis::AnalysisCtx::builder().budget(budget).build();
-                    // A budget-tripped graph lint degrades to silence,
-                    // matching the batch checker's behaviour.
-                    run_lints(&ctx, &program, &LintConfig::default(), &registry_for(lang))
-                        .unwrap_or_default()
-                }
-                Lang::Lok => {
-                    let model = match frontends::by_lang(lang).load(source) {
-                        Ok(m) => m,
-                        Err(e) => return Response::error(Value::Null, e.to_string()),
-                    };
-                    let lok = model.as_lok().expect("lok frontend produced this model");
-                    run_lints_lok(lok, &LintConfig::default(), &registry_for(lang))
-                }
-                Lang::Chan => {
-                    let model = match frontends::by_lang(lang).load(source) {
-                        Ok(m) => m,
-                        Err(e) => return Response::error(Value::Null, e.to_string()),
-                    };
-                    let chan = model.as_chan().expect("chan frontend produced this model");
-                    run_lints_chan(chan, &LintConfig::default(), &registry_for(lang))
-                }
+            let model = match frontends::by_lang(lang).load(source) {
+                Ok(m) => m,
+                Err(e) => return Response::error(Value::Null, e.to_string()),
             };
+            let budget = Budget::with_deadline(deadline).and_cancel_token(cancel.clone());
+            let ctx = iwa_analysis::AnalysisCtx::builder().budget(budget).build();
+            // A budget-tripped graph lint degrades to silence, matching
+            // the batch checker's behaviour.
+            let diagnostics =
+                match lint_model(&ctx, &model, &LintConfig::default(), &registry_for(lang)) {
+                    Ok(d) => d,
+                    Err(e) => return Response::error(Value::Null, e.to_string()),
+                };
             let mut resp = Response::new(Value::Null, "ok");
             resp.report = Some(Value::Object(vec![(
                 "diagnostics".to_owned(),

@@ -81,6 +81,37 @@ fn bad_requests_get_explicit_errors_not_hangs() {
     server.join();
 }
 
+/// `lint` validates the program like `analyze` does: a program the
+/// model rejects is an explicit error, not an `ok` with no findings.
+#[test]
+fn lint_rejects_an_invalid_program_like_analyze() {
+    const RECURSIVE: &str = "proc p { call q; } proc q { call p; } task t { call p; }";
+    let server = Server::start(ServeOptions::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    let analyzed = client
+        .request(&Client::analyze_request(1, RECURSIVE, Some(5_000)), RECV)
+        .unwrap();
+    let mut lint = Client::analyze_request(2, RECURSIVE, Some(5_000));
+    if let Value::Object(fields) = &mut lint {
+        for (k, v) in fields.iter_mut() {
+            if k == "op" {
+                *v = Value::String("lint".to_owned());
+            }
+        }
+    }
+    let linted = client.request(&lint, RECV).unwrap();
+    for resp in [&analyzed, &linted] {
+        assert_eq!(resp["status"], "error", "unexpected response: {resp:?}");
+        let msg = resp["error"].as_str().expect("error text");
+        assert!(msg.contains("recursive procedure 'p'"), "{msg}");
+    }
+    assert_eq!(linted["error"], analyzed["error"]);
+
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn full_queue_sheds_with_retry_hint() {
     // One worker stalled 300 ms per request, queue of one: pipelining six

@@ -20,11 +20,6 @@ cargo test --offline --manifest-path perfbench/Cargo.toml
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> cargo check --benches (iwa-bench)"
-# The root clippy above covers only the root package's targets, so no
-# other stage compiles the bench harnesses; check them here.
-cargo check --offline -p iwa-bench --benches
-
 echo "==> multi-job determinism: iwa check corpus -j 1/2/8 agree byte-for-byte"
 # A step budget (not a wall-clock one) keeps trip-vs-complete independent
 # of scheduling. Only wall-clock fields and the quarantined scheduling
@@ -50,14 +45,12 @@ done
 diff "$tmpdir/check-j1.json" "$tmpdir/check-j2.json"
 diff "$tmpdir/check-j1.json" "$tmpdir/check-j8.json"
 
-echo "==> bench pipeline: snapshot schema + trajectory gate"
-# One smoke run: gate its step counts against the committed trajectory
-# (reports/bench_history.jsonl, >15% regression on any family fails)
-# and write the snapshot. CI never appends to the trajectory
-# (--no-history) so the gate stays anchored to the committed record.
-./target/release/iwa bench --smoke --out "$tmpdir/BENCH_core.json" \
-    --validate --no-history
-./target/release/iwa bench --validate "$tmpdir/BENCH_core.json"
+echo "==> bench trajectory gate"
+# One smoke run, gated on its step counts against the committed
+# trajectory (reports/bench_history.jsonl; >15% regression on any family
+# fails). CI never appends to the trajectory (--no-history) so the gate
+# stays anchored to the committed record.
+./target/release/iwa bench --smoke --validate --no-history
 
 echo "==> lint goldens: iwa lint corpus matches tests/golden byte-for-byte"
 # Exit 1 is expected: the fixture corpus deliberately contains denials.
