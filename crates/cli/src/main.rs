@@ -937,11 +937,13 @@ fn serve_bench(args: &[String]) -> Result<ExitCode, String> {
         get("hangs"),
     );
     println!(
-        "cache: {} hits / {} misses; p50 {} ms, p99 {} ms; {} verdict mismatches",
+        "cache: {} hits / {} misses; client round trip p50 {} µs, p99 {} µs; \
+         {} ms wall; {} verdict mismatches",
         get("cache_hits"),
         get("cache_misses"),
-        get("p50_ms"),
-        get("p99_ms"),
+        get("rtt_p50_us"),
+        get("rtt_p99_us"),
+        get("wall_ms"),
         get("verdict_mismatches"),
     );
     let path = out.unwrap_or_else(|| "BENCH_serve.json".to_owned());

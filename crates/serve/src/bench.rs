@@ -1,7 +1,7 @@
 //! `iwa serve-bench`: a replay driver that hammers an in-process daemon
 //! with mutated corpus variants — optionally under an active fault plan —
-//! and reports throughput, latency percentiles, cache hit-rate, and
-//! verdict fidelity.
+//! and reports throughput, the round trips its clients observed, cache
+//! hit-rate, and verdict fidelity.
 //!
 //! The replay models the daemon's real workload: a corpus of programs
 //! resubmitted round after round, a small fraction mutating between
@@ -20,7 +20,7 @@
 //! bench.
 
 use crate::client::Client;
-use crate::server::{Server, ServeOptions};
+use crate::server::{percentile, Server, ServeOptions};
 use iwa_core::fault::FaultPlan;
 use iwa_engine::{EngineOptions, Rung};
 use serde::{Serialize, Value};
@@ -30,7 +30,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Version of the `BENCH_serve.json` shape; bump on any field change.
-pub const BENCH_SERVE_SCHEMA_VERSION: u32 = 1;
+/// v2 replaced the daemon-side `p50_ms`/`p99_ms` with the client-observed
+/// round trips `rtt_p50_us`/`rtt_p99_us`.
+pub const BENCH_SERVE_SCHEMA_VERSION: u32 = 2;
 
 /// Configuration for [`run_bench`].
 #[derive(Clone, Debug)]
@@ -100,6 +102,8 @@ struct ClientCounts {
     hangs: u64,
     cached: u64,
     mismatches: u64,
+    /// Round trip of every answered request, microseconds.
+    rtts_us: Vec<u64>,
 }
 
 /// The semantic fields of a report, rendered stably — what "byte-identical
@@ -211,6 +215,7 @@ pub fn run_bench(opts: &ServeBenchOptions) -> Result<Value, String> {
                     continue;
                 }
                 let req = Client::analyze_request(i as u64, src, Some(deadline_ms));
+                let sent = Instant::now();
                 let resp = match client.request(&req, Duration::from_secs(10)) {
                     Ok(v) => v,
                     Err(_) => {
@@ -218,6 +223,9 @@ pub fn run_bench(opts: &ServeBenchOptions) -> Result<Value, String> {
                         continue;
                     }
                 };
+                counts
+                    .rtts_us
+                    .push(u64::try_from(sent.elapsed().as_micros()).unwrap_or(u64::MAX));
                 match resp["status"].as_str().unwrap_or("") {
                     "ok" => {
                         counts.ok += 1;
@@ -259,6 +267,7 @@ pub fn run_bench(opts: &ServeBenchOptions) -> Result<Value, String> {
                 totals.hangs += c.hangs;
                 totals.cached += c.cached;
                 totals.mismatches += c.mismatches;
+                totals.rtts_us.extend(c.rtts_us);
             }
             Err(_) => totals.hangs += 1,
         }
@@ -276,11 +285,9 @@ pub fn run_bench(opts: &ServeBenchOptions) -> Result<Value, String> {
         stats.cache_hits as f64 * 100.0 / denom as f64
     };
     let wall_ms = u64::try_from(wall.as_millis()).unwrap_or(u64::MAX);
-    let rps = if wall_ms == 0 {
-        requests as f64 * 1000.0
-    } else {
-        requests as f64 * 1000.0 / wall_ms as f64
-    };
+    let secs = wall.as_secs_f64();
+    let rps = if secs > 0.0 { requests as f64 / secs } else { 0.0 };
+    totals.rtts_us.sort_unstable();
 
     Ok(Value::Object(vec![
         ("schema_version".into(), BENCH_SERVE_SCHEMA_VERSION.to_value()),
@@ -313,8 +320,8 @@ pub fn run_bench(opts: &ServeBenchOptions) -> Result<Value, String> {
         ),
         ("wall_ms".into(), wall_ms.to_value()),
         ("rps".into(), rps.to_value()),
-        ("p50_ms".into(), stats.p50_ms.to_value()),
-        ("p99_ms".into(), stats.p99_ms.to_value()),
+        ("rtt_p50_us".into(), percentile(&totals.rtts_us, 0.50).to_value()),
+        ("rtt_p99_us".into(), percentile(&totals.rtts_us, 0.99).to_value()),
     ]))
 }
 
@@ -350,8 +357,8 @@ pub fn validate_report(v: &Value) -> Result<(), String> {
         "panics_isolated",
         "workers_replaced",
         "wall_ms",
-        "p50_ms",
-        "p99_ms",
+        "rtt_p50_us",
+        "rtt_p99_us",
     ] {
         if v.get(key).and_then(Value::as_u64).is_none() {
             return Err(format!("missing or non-integer field '{key}'"));

@@ -6,7 +6,7 @@
 
 use crate::proto::{write_frame, Frame, FrameReader};
 use serde::Value;
-use std::io::{self, Write};
+use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -34,8 +34,7 @@ impl Client {
     pub fn send(&mut self, request: &Value) -> io::Result<()> {
         let payload = serde_json::to_string(request)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        write_frame(&mut self.stream, payload.as_bytes())?;
-        self.stream.flush()
+        write_frame(&mut self.stream, payload.as_bytes())
     }
 
     /// Receive the next response, waiting at most `timeout`. A timeout

@@ -3,11 +3,14 @@
 //! Every message — request or response — is a 4-byte big-endian length
 //! prefix followed by that many bytes of UTF-8 JSON. The frame layer is
 //! deliberately dumb: no pipelining rules, no compression, no partial
-//! writes observable to the peer. What keeps it robust is the
-//! [`FrameReader`]: an incremental decoder that survives read timeouts
-//! mid-frame without ever losing sync, which is what lets connection
-//! readers poll with a short timeout (so they notice shutdown promptly)
-//! while clients stream arbitrarily chunked bytes.
+//! writes observable to the peer. A frame leaves in one write: prefix
+//! and payload share one buffer, so Nagle's algorithm never holds a
+//! payload back behind its own unacknowledged prefix.
+//! What keeps the frame layer robust is the [`FrameReader`]: an
+//! incremental decoder that survives read timeouts mid-frame without
+//! ever losing sync, which is what lets connection readers poll with a
+//! short timeout (so they notice shutdown promptly) while clients
+//! stream arbitrarily chunked bytes.
 //!
 //! Requests are JSON objects with an `op` field (`ping`, `analyze`,
 //! `lint`, `check`, `stats`, `shutdown`) parsed leniently by
@@ -25,15 +28,25 @@ pub const PROTO_VERSION: u32 = 1;
 /// connection is the correct answer, since framing itself is broken.
 pub const MAX_FRAME: usize = 8 * 1024 * 1024;
 
-/// Write one frame: length prefix plus payload, flushed.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+/// Encode one frame: the length prefix and the payload in one buffer.
+pub(crate) fn encode_frame(payload: &[u8]) -> io::Result<Vec<u8>> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
     if payload.len() > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    Ok(frame)
+}
+
+/// Write one frame with a single `write_all`, then flush. Two writes
+/// (prefix, then payload) would let Nagle's algorithm hold the payload
+/// until the peer acknowledges the prefix, and the peer may delay that
+/// acknowledgement for tens of milliseconds.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    w.write_all(&encode_frame(payload)?)?;
     w.flush()
 }
 
@@ -323,6 +336,30 @@ mod tests {
             }
         }
         assert_eq!(msgs, vec![b"{\"op\":\"ping\"}".to_vec(), b"second".to_vec()]);
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        #[derive(Default)]
+        struct CountingSink {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingSink {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = CountingSink::default();
+        write_frame(&mut sink, b"{\"op\":\"ping\"}").unwrap();
+        assert_eq!(sink.writes, 1, "prefix and payload must leave in one write");
+        assert_eq!(&sink.bytes[..4], &13u32.to_be_bytes());
+        assert_eq!(&sink.bytes[4..], b"{\"op\":\"ping\"}");
     }
 
     #[test]

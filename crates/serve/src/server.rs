@@ -24,7 +24,7 @@
 //! the protocol, not in a runtime.
 
 use crate::cache::{cache_key, VerdictCache};
-use crate::proto::{parse_request, write_frame, Frame, FrameReader, Op, Request, Response};
+use crate::proto::{encode_frame, parse_request, Frame, FrameReader, Op, Request, Response};
 use iwa_core::fault::{FaultAction, FaultPlan, FaultSite};
 use iwa_core::{Budget, CancelToken};
 use iwa_engine::{CheckOptions, EngineOptions, LintStage, RetryPolicy, Rung};
@@ -32,7 +32,7 @@ use iwa_frontend::{registry as frontends, Lang};
 use iwa_lint::{lint_model, registry_for, LintConfig};
 use serde::{Serialize, Value};
 use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -112,10 +112,11 @@ pub struct ServeStats {
     pub cache_hits: u64,
     /// Verdict-cache misses.
     pub cache_misses: u64,
-    /// p50 request latency (admission → response), milliseconds.
-    pub p50_ms: u64,
-    /// p99 request latency, milliseconds.
-    pub p99_ms: u64,
+    /// p50 request latency (admission → response), microseconds, over
+    /// the most recent 4096 answered requests.
+    pub p50_us: u64,
+    /// p99 request latency, microseconds, over the same window.
+    pub p99_us: u64,
 }
 
 #[derive(Debug, Default)]
@@ -130,12 +131,13 @@ struct StatsInner {
     panics_isolated: u64,
     failed_writes: u64,
     workers_replaced: u64,
-    latencies_ms: Vec<u64>,
+    latencies_us: VecDeque<u64>,
 }
 
+/// Latency samples kept for the percentiles; the oldest is dropped first.
 const LATENCY_RING: usize = 4096;
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
+pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -161,15 +163,17 @@ impl ConnWriter {
     /// Send one response frame. The `response-write` fault site fires
     /// here; both its panic and io-error actions are contained — a send
     /// can fail, but it cannot take the caller down. Returns `false` on
-    /// failure (counted by the caller as a failed write).
+    /// failure (counted by the caller as a failed write). The frame is
+    /// encoded before the lock, so the lock covers one write.
     fn send(&self, resp: &Response, faults: Option<&FaultPlan>) -> bool {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if let Some(plan) = faults {
                 plan.fire(FaultSite::ResponseWrite, &resp.status)
                     .map_err(|e| io::Error::other(e.to_string()))?;
             }
+            let frame = encode_frame(&resp.to_bytes())?;
             let mut stream = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
-            write_frame(&mut *stream, &resp.to_bytes())
+            stream.write_all(&frame)
         }));
         matches!(outcome, Ok(Ok(())))
     }
@@ -215,7 +219,7 @@ impl Shared {
     fn snapshot(&self) -> ServeStats {
         let (cache_hits, cache_misses) = self.cache.stats();
         let g = self.stats();
-        let mut lat = g.latencies_ms.clone();
+        let mut lat: Vec<u64> = g.latencies_us.iter().copied().collect();
         lat.sort_unstable();
         ServeStats {
             received: g.received,
@@ -230,16 +234,24 @@ impl Shared {
             workers_replaced: g.workers_replaced,
             cache_hits,
             cache_misses,
-            p50_ms: percentile(&lat, 0.50),
-            p99_ms: percentile(&lat, 0.99),
+            p50_us: percentile(&lat, 0.50),
+            p99_us: percentile(&lat, 0.99),
         }
     }
 
-    /// Count a response's status *before* the frame is written, so a
-    /// client that receives the response and immediately asks for stats
-    /// always sees its own request reflected (no counter race).
-    fn count_status(&self, status: &str) {
+    /// Count a response's status, and for an admitted request its
+    /// latency, *before* the frame is written, so a client that receives
+    /// the response and immediately asks for stats always sees its own
+    /// request reflected (no counter race).
+    fn count_status(&self, status: &str, admitted: Option<Instant>) {
         let mut g = self.stats();
+        if let Some(admitted) = admitted {
+            let us = u64::try_from(admitted.elapsed().as_micros()).unwrap_or(u64::MAX);
+            if g.latencies_us.len() >= LATENCY_RING {
+                g.latencies_us.pop_front();
+            }
+            g.latencies_us.push_back(us);
+        }
         match status {
             "ok" => g.ok += 1,
             "error" => g.errors += 1,
@@ -260,18 +272,15 @@ impl Shared {
     /// Counted send: status first, then the write, then the write
     /// outcome — the one path every response goes through.
     fn respond(&self, conn: &ConnWriter, resp: &Response) {
-        self.count_status(&resp.status);
-        let sent = conn.send(resp, self.opts.faults.as_ref());
-        self.count_write(sent);
+        self.respond_timed(conn, resp, None);
     }
 
-    fn record_latency(&self, admitted: Instant) {
-        let ms = u64::try_from(admitted.elapsed().as_millis()).unwrap_or(u64::MAX);
-        let mut g = self.stats();
-        if g.latencies_ms.len() >= LATENCY_RING {
-            g.latencies_ms.remove(0);
-        }
-        g.latencies_ms.push(ms);
+    /// [`respond`](Shared::respond) for an admitted request, which also
+    /// records its admission → response latency.
+    fn respond_timed(&self, conn: &ConnWriter, resp: &Response, admitted: Option<Instant>) {
+        self.count_status(&resp.status, admitted);
+        let sent = conn.send(resp, self.opts.faults.as_ref());
+        self.count_write(sent);
     }
 }
 
@@ -491,6 +500,9 @@ fn listener_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 
 fn reader_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    // Without this, a response sent while an earlier one is still
+    // unacknowledged waits for the peer's delayed ACK (up to 40 ms).
+    let _ = stream.set_nodelay(true);
     let conn = ConnWriter::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -665,8 +677,7 @@ fn execute(shared: &Arc<Shared>, job: Job) -> WorkerFate {
         .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
         .is_ok()
     {
-        shared.respond(&job.conn, &resp);
-        shared.record_latency(job.admitted);
+        shared.respond_timed(&job.conn, &resp, Some(job.admitted));
         WorkerFate::Alive
     } else if abandoned.load(Ordering::SeqCst) {
         WorkerFate::Abandoned
@@ -900,8 +911,7 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                 resp.error = Some(
                     "request overran its hard deadline; the worker was abandoned".to_owned(),
                 );
-                shared.respond(&entry.conn, &resp);
-                shared.record_latency(entry.admitted);
+                shared.respond_timed(&entry.conn, &resp, Some(entry.admitted));
                 // The stalled worker will exit when (if) it wakes; keep
                 // capacity constant with a replacement.
                 shared.stats().workers_replaced += 1;

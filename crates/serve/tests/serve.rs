@@ -354,9 +354,50 @@ fn stats_op_reports_live_counters() {
     assert_eq!(stats["report"]["received"], 1);
     assert_eq!(stats["report"]["ok"], 1);
     assert!(matches!(stats["report"]["cache_misses"], Value::Int(1)));
+    let p50_us = stats["report"]["p50_us"].as_u64().expect("p50_us present");
+    assert!(p50_us > 0, "one analyze takes more than 0 µs: {stats:?}");
 
     server.shutdown();
     server.join();
+}
+
+/// A client that waits for each reply before sending the next request
+/// must not pay a delayed-ACK wait per reply. When a response leaves as
+/// two writes on a socket with Nagle on, the second write waits for the
+/// client's delayed ACK (≥ 40 ms) of the first, and 100 round trips take
+/// seconds.
+#[test]
+fn sequential_round_trips_do_not_wait_for_a_delayed_ack() {
+    const ROUNDS: u64 = 100;
+    let server = Server::start(ServeOptions::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let warm = client
+        .request(&Client::analyze_request(0, CLEAN, Some(5_000)), RECV)
+        .unwrap();
+    assert_eq!(warm["status"], "ok", "unexpected response: {warm:?}");
+
+    let started = std::time::Instant::now();
+    for id in 1..=ROUNDS {
+        let pong = client
+            .request(&Client::simple_request(id, "ping"), RECV)
+            .unwrap();
+        assert_eq!(pong["status"], "ok");
+    }
+    let pings = started.elapsed();
+
+    let started = std::time::Instant::now();
+    for id in 1..=ROUNDS {
+        let hit = client
+            .request(&Client::analyze_request(id, CLEAN, Some(5_000)), RECV)
+            .unwrap();
+        assert_eq!(hit["cached"], true, "unexpected response: {hit:?}");
+    }
+    let hits = started.elapsed();
+
+    server.shutdown();
+    server.join();
+    assert!(pings < Duration::from_secs(1), "{ROUNDS} pings took {pings:?}");
+    assert!(hits < Duration::from_secs(1), "{ROUNDS} cache hits took {hits:?}");
 }
 
 #[test]

@@ -124,6 +124,9 @@ diff tests/golden/corpus_channels.sarif "$tmpdir/channels-lint.sarif"
 echo "==> serve smoke: the daemon routes .lok and .chan requests through their frontends"
 cargo test -q -p iwa-serve --test serve lok_requests_route_through_the_lock_frontend
 cargo test -q -p iwa-serve --test serve chan_requests_route_through_the_channel_frontend
+# One write per frame and TCP_NODELAY: a client waiting for each reply
+# never pays the peer's delayed ACK (100 sequential round trips < 1 s).
+cargo test -q -p iwa-serve --test serve sequential_round_trips_do_not_wait_for_a_delayed_ack
 
 echo "==> chaos smoke: iwa serve-bench under a panic+timeout fault plan"
 # Faults at the serve parse site and the engine certify site, including
