@@ -218,7 +218,7 @@ impl AnalysisCtx {
     /// tier, fanning the per-head SCC searches across this context's
     /// workers. See [`RefinedResult`].
     pub fn refined(&self, sg: &SyncGraph, opts: &RefinedOptions) -> Result<RefinedResult, IwaError> {
-        crate::refined::refined_impl(sg, opts, self)
+        crate::refined::refined_impl(sg, None, opts, self)
     }
 
     /// [`refined`](AnalysisCtx::refined) with an explicit head-hypothesis
@@ -234,7 +234,7 @@ impl AnalysisCtx {
         seeds: &[usize],
         opts: &RefinedOptions,
     ) -> Result<RefinedResult, IwaError> {
-        crate::refined::refined_seeded_impl(sg, seeds, opts, self)
+        crate::refined::refined_impl(sg, Some(seeds), opts, self)
     }
 
     /// [`refined`](AnalysisCtx::refined) with precomputed supporting
@@ -248,7 +248,7 @@ impl AnalysisCtx {
         cx: &CoexecInfo,
         opts: &RefinedOptions,
     ) -> Result<RefinedResult, IwaError> {
-        crate::refined::refined_with_impl(sg, clg, seq, cx, opts, self)
+        crate::refined::refined_with_impl(sg, clg, seq, cx, None, opts, self)
     }
 
     /// Run the stall analysis (paper §5) on `p`. Budget trips do not

@@ -145,8 +145,9 @@ pub struct RefinedResult {
     pub scc_runs: usize,
 }
 
-/// [`AnalysisCtx::refined`]: build the supporting tables, then run the
-/// marked searches.
+/// [`AnalysisCtx::refined`] and [`AnalysisCtx::refined_seeded`]: build
+/// the supporting tables, then run the marked searches over `seeds`, or
+/// over every possible head when `None`.
 ///
 /// The sync graph should be loop-free in its control edges (apply the
 /// Lemma 1 unrolling first — the [`AnalysisCtx::certify`] driver does);
@@ -159,6 +160,7 @@ pub struct RefinedResult {
 /// runs completed before the trip.
 pub(crate) fn refined_impl(
     sg: &SyncGraph,
+    seeds: Option<&[usize]>,
     opts: &RefinedOptions,
     ctx: &AnalysisCtx,
 ) -> Result<RefinedResult, IwaError> {
@@ -178,7 +180,7 @@ pub(crate) fn refined_impl(
             CoexecInfo::compute(sg)
         }
     };
-    refined_with_impl(sg, &clg, &seq, &cx, opts, ctx)
+    refined_with_impl(sg, &clg, &seq, &cx, seeds, opts, ctx)
 }
 
 /// The outcome of one head hypothesis: SCC searches performed, the
@@ -186,7 +188,12 @@ pub(crate) fn refined_impl(
 /// (committed only if the whole refined call completes).
 type HeadOutcome = (usize, Option<FlaggedHead>, Counters);
 
-/// [`AnalysisCtx::refined_with`]: the per-head search loop.
+/// [`AnalysisCtx::refined_with`]: the per-head search loop over
+/// prebuilt tables. `seeds` overrides the hypothesis set: frontends that
+/// know where deadlock cycles can start (the lock-order lowering's
+/// hold-points, for instance) seed exactly those nodes instead of paying
+/// the generic [`SyncGraph::poss_heads`] scan over every rendezvous — the
+/// searches, pruning rules, and result shape are identical either way.
 ///
 /// Heads are independent by construction — each hypothesis searches its
 /// own filtered copy of the CLG — so they fan out across the ctx's
@@ -194,50 +201,6 @@ type HeadOutcome = (usize, Option<FlaggedHead>, Counters);
 /// for any worker count; the shared budget keeps the overall step/time
 /// ceiling exact across workers (clones share counters).
 pub(crate) fn refined_with_impl(
-    sg: &SyncGraph,
-    clg: &Clg,
-    seq: &SequenceInfo,
-    cx: &CoexecInfo,
-    opts: &RefinedOptions,
-    ctx: &AnalysisCtx,
-) -> Result<RefinedResult, IwaError> {
-    refined_seeded_with_impl(sg, clg, seq, cx, None, opts, ctx)
-}
-
-/// [`AnalysisCtx::refined_seeded`]: build the supporting tables, then run
-/// the marked searches over an explicit hypothesis set.
-pub(crate) fn refined_seeded_impl(
-    sg: &SyncGraph,
-    seeds: &[usize],
-    opts: &RefinedOptions,
-    ctx: &AnalysisCtx,
-) -> Result<RefinedResult, IwaError> {
-    let clg = {
-        let _span = ctx.span("analysis", "clg");
-        Clg::build(sg)
-    };
-    let seq = {
-        let _span = ctx.span("analysis", "sequence");
-        SequenceInfo::compute(sg)
-    };
-    let cx = {
-        let _span = ctx.span("analysis", "coexec");
-        if opts.use_condition_coexec {
-            CoexecInfo::compute_with_conditions(sg)
-        } else {
-            CoexecInfo::compute(sg)
-        }
-    };
-    refined_seeded_with_impl(sg, &clg, &seq, &cx, Some(seeds), opts, ctx)
-}
-
-/// The shared per-head search loop. `seeds` overrides the hypothesis set:
-/// frontends that know where deadlock cycles can start (the lock-order
-/// lowering's hold-points, for instance) seed exactly those nodes instead
-/// of paying the generic [`SyncGraph::poss_heads`] scan over every
-/// rendezvous — the searches, pruning rules, and result shape are
-/// identical either way.
-pub(crate) fn refined_seeded_with_impl(
     sg: &SyncGraph,
     clg: &Clg,
     seq: &SequenceInfo,

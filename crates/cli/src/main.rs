@@ -1,12 +1,12 @@
 //! `iwa` — static infinite-wait anomaly analyzer for rendezvous programs.
 //!
 //! ```text
-//! iwa analyze <file.iwa | fixture:NAME> [--tier heads|pairs|headtails]
-//!             [--oracle] [--json] [--no-transforms] [-j N]
+//! iwa analyze <file.iwa | file.lok | file.chan | fixture:NAME> [--json]
 //!             [--deadline-ms N] [--max-steps N] [--start RUNG]
-//! iwa check   <file.iwa | dir> [--deadline-ms N] [--max-steps N]
+//!             [--no-transforms] [--trace-out PATH] [--lang L] [-j N]
+//! iwa check   <file | dir> [--deadline-ms N] [--max-steps N]
 //!             [--start RUNG] [--json] [-j N]
-//! iwa graph   <file.iwa | fixture:NAME> [--clg]
+//! iwa graph   <file | fixture:NAME> [--clg]
 //! iwa inline  <file.iwa | fixture:NAME>
 //! iwa unroll  <file.iwa | fixture:NAME>
 //! iwa fixtures
@@ -17,22 +17,21 @@
 //! Exit codes for `analyze` and `check`: `0` clean at full precision,
 //! `1` anomalous, `2` usage or input error, `3` degraded or undecided.
 
-use iwa_analysis::{AnalysisCtx, CertifyOptions, RefinedOptions, StallOptions, StallVerdict, Tier};
-use iwa_core::obs::{Meta, Metrics, TraceSink};
+use iwa_analysis::AnalysisCtx;
+use iwa_core::obs::TraceSink;
 use iwa_core::{Budget, FaultPlan, IwaError};
 use iwa_engine::{
     CheckOptions, EngineOptions, EngineReport, EngineVerdict, LintStage, Rung, SCHEMA_VERSION,
 };
-use iwa_frontend::{registry as frontends, Lang};
+use iwa_frontend::{registry as frontends, Lang, LoadedModel};
 use iwa_lint::render::{render_diagnostic, render_diagnostics, render_parse_error};
-use iwa_lint::{
-    lint_model, quick_registry, registry, registry_for, run_lints, Diagnostic, LintConfig, Severity,
-};
+use iwa_lint::{lint_model, registry, registry_for, Diagnostic, LintConfig, Severity};
 use iwa_syncgraph::{dot, Clg, SyncGraph};
-use iwa_tasklang::{parse, Program};
-use iwa_wavesim::{explore, ExploreConfig, Verdict};
+use iwa_tasklang::transforms::{inline_procs, unroll_twice};
 use serde::Serialize;
+use std::path::Path;
 use std::process::ExitCode;
+use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -98,7 +97,7 @@ USAGE:
                 [--no-history]
     iwa serve   [OPTIONS]                      persistent analysis daemon
     iwa serve-bench [OPTIONS]                  replay benchmark against a daemon
-    iwa graph   <file.iwa | fixture:NAME> [--clg]
+    iwa graph   <file | fixture:NAME> [--clg]
     iwa inline  <file.iwa | fixture:NAME>   print with procedures inlined
     iwa unroll  <file.iwa | fixture:NAME>   print the Lemma-1 unrolled form
     iwa fixtures
@@ -113,10 +112,11 @@ COMMON OPTIONS (analyze, check, lint):
                                    iwa — see 'iwa langs')
     --json                         machine-readable output
     --deadline-ms N                wall-clock budget (analyze: whole ladder;
-                                   check: per file, default 2000)
+                                   check: per file); default 2000
     --max-steps N                  cooperative-step budget
     --start RUNG                   most precise ladder rung to attempt:
                                    oracle|headtails|pairs|heads|naive
+                                   (default: oracle)
     -j, --jobs N                   worker threads (analyze: per-head fan-out;
                                    check: files in parallel); 0 = all cores
 
@@ -132,13 +132,11 @@ LINT OPTIONS:
      exit 0: no denials; 1: at least one denial; 2: usage/parse error)
 
 ANALYZE OPTIONS:
-    --tier heads|pairs|headtails   refined-algorithm tier (default: heads)
-    --oracle                       also run the exhaustive wave oracle
-    --no-transforms                skip the §5.1 stall transforms
+    --no-transforms                skip the §5.1 stall transforms (.iwa)
     --trace-out PATH               write a Chrome trace_event JSON of every
                                    analysis phase (open in about:tracing
                                    or https://ui.perfetto.dev)
-    (a budget flag switches analyze to the degradation ladder)
+    (the oracle rung prints the schedule that reaches its first anomaly)
 
 BENCH OPTIONS:
     --smoke                        CI-sized workloads (same families)
@@ -183,30 +181,84 @@ EXIT CODES (analyze, check):
     2  usage or input error        3  degraded or undecided result
 ";
 
-/// Load a program plus (for real files) its source text, which the
-/// diagnostic renderer needs for caret excerpts. Fixtures have no text.
-fn load_program(spec: &str) -> Result<(Program, Option<String>), String> {
-    if let Some(name) = spec.strip_prefix("fixture:") {
-        iwa_workloads::figures::all_figures()
-            .into_iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, p)| (p, None))
-            .ok_or_else(|| format!("unknown fixture '{name}' (see 'iwa fixtures')"))
-    } else {
-        let src = std::fs::read_to_string(spec)
-            .map_err(|e| format!("cannot read {spec}: {e}"))?;
-        match parse(&src) {
-            Ok(p) => Ok((p, Some(src))),
-            Err(e) => Err(parse_failure(spec, &src, &e)),
-        }
+/// One subcommand's arguments, walked front to back. Every subcommand
+/// parses through it, so each words a missing value, a bad value and a
+/// stray argument the same way.
+struct Args<'a> {
+    rest: std::slice::Iter<'a, String>,
+    /// The subcommand's one bare argument (a path, `fixture:NAME`).
+    operand: Option<&'a str>,
+}
+
+impl<'a> Iterator for Args<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.rest.next().map(String::as_str)
     }
 }
 
-/// The frontend for `path`: `--lang` wins, then the file extension, then
-/// the tasklang default (an explicit file always stands for itself).
-/// Thin string-path wrapper over the registry's shared resolver.
-fn frontend_for(path: &str, forced: Option<Lang>) -> &'static dyn iwa_frontend::Frontend {
-    frontends::resolve(std::path::Path::new(path), forced)
+impl<'a> Args<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Args {
+            rest: args.iter(),
+            operand: None,
+        }
+    }
+
+    /// The value that follows `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+        self.next().ok_or_else(|| format!("{flag} needs a value"))
+    }
+
+    /// The value that follows `flag`, parsed.
+    fn parse<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        let v = self.value(flag)?;
+        v.parse().map_err(|_| format!("bad {flag} '{v}'"))
+    }
+
+    /// Take `arg` as the subcommand's operand. A second operand, or a
+    /// flag the subcommand does not know, is a usage error.
+    fn operand(&mut self, arg: &'a str) -> Result<(), String> {
+        if self.operand.is_some() || arg.starts_with('-') {
+            return Err(unexpected(arg));
+        }
+        self.operand = Some(arg);
+        Ok(())
+    }
+}
+
+fn unexpected(arg: &str) -> String {
+    format!("unexpected argument '{arg}'")
+}
+
+fn fault_plan(spec: &str) -> Result<FaultPlan, String> {
+    FaultPlan::parse(spec).map_err(|e| format!("bad --fault: {e}"))
+}
+
+fn print_json(value: &impl Serialize) -> Result<(), String> {
+    let json = serde_json::to_string_pretty(value).map_err(|e| e.to_string())?;
+    println!("{json}");
+    Ok(())
+}
+
+/// Load `spec` — `fixture:NAME`, or a file read by the frontend `--lang`
+/// forces or its extension picks — plus the source text the diagnostic
+/// renderer needs for caret excerpts (fixtures have none).
+fn load_model(spec: &str, lang: Option<Lang>) -> Result<(LoadedModel, Option<String>), String> {
+    if let Some(name) = spec.strip_prefix("fixture:") {
+        let (_, p) = iwa_workloads::figures::all_figures()
+            .into_iter()
+            .find(|(n, _)| *n == name)
+            .ok_or_else(|| format!("unknown fixture '{name}' (see 'iwa fixtures')"))?;
+        let model = LoadedModel::from_program(p).map_err(|e| e.to_string())?;
+        return Ok((model, None));
+    }
+    let src = std::fs::read_to_string(spec).map_err(|e| format!("cannot read {spec}: {e}"))?;
+    let model = frontends::resolve(Path::new(spec), lang)
+        .load(&src)
+        .map_err(|e| parse_failure(spec, &src, &e))?;
+    Ok((model, Some(src)))
 }
 
 /// The canonical `Display` line ("parse error at L:C: …"), followed by
@@ -221,343 +273,92 @@ fn parse_failure(path: &str, src: &str, e: &IwaError) -> String {
     }
 }
 
-#[derive(Serialize)]
-struct AnalyzeReport {
-    schema_version: u32,
-    program: String,
-    tasks: usize,
-    rendezvous: usize,
-    was_unrolled: bool,
-    naive_deadlock_free: bool,
-    refined_deadlock_free: bool,
-    refined_tier: String,
-    flagged_heads: Vec<String>,
-    stall_verdict: String,
-    diagnostics: Vec<Diagnostic>,
-    oracle: Option<OracleReport>,
-    meta: Meta,
-}
-
-#[derive(Serialize)]
-struct OracleReport {
-    verdict: String,
-    states: usize,
-    can_terminate: bool,
-    deadlock: bool,
-    stall: bool,
-    /// Rendezvous schedule leading to the first anomaly, human-readable.
-    witness: Vec<String>,
-    /// The first stuck wave, rendered.
-    stuck_wave: Option<String>,
-}
-
+/// `iwa analyze`: one pipeline for every language. Load the model, run
+/// the engine ladder on the defaults `iwa check` uses, and print the
+/// ladder report — plus, as text, the model's warnings and the lints of
+/// check's quick stage (`.lok`/`.chan` witness chains among them).
 fn analyze(args: &[String]) -> Result<ExitCode, String> {
-    let mut spec = None;
-    let mut tier = Tier::Heads;
-    let mut tier_given = false;
-    let mut want_oracle = false;
     let mut transforms = true;
-    let mut trace_out: Option<String> = None;
+    let mut trace_out = None;
     let mut common = CommonOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if common.try_parse(a, &mut it)? {
+    let mut args = Args::new(args);
+    while let Some(a) = args.next() {
+        if common.try_parse(a, &mut args)? {
             continue;
         }
-        match a.as_str() {
-            "--tier" => {
-                tier = match it.next().map(String::as_str) {
-                    Some("heads") => Tier::Heads,
-                    Some("pairs") => Tier::HeadPairs,
-                    Some("headtails") => Tier::HeadTails,
-                    other => return Err(format!("bad --tier {other:?}")),
-                };
-                tier_given = true;
-            }
-            "--oracle" => want_oracle = true,
+        match a {
             "--no-transforms" => transforms = false,
-            "--trace-out" => {
-                trace_out =
-                    Some(it.next().ok_or("--trace-out needs a path")?.to_owned());
-            }
-            other if spec.is_none() && !other.starts_with("--") => {
-                spec = Some(other.to_owned());
-            }
-            other => return Err(format!("unexpected argument '{other}'")),
+            "--trace-out" => trace_out = Some(args.value(a)?),
+            _ => args.operand(a)?,
         }
     }
-    let spec = spec.ok_or("missing program (file path or fixture:NAME)")?;
-
-    // Non-tasklang programs (`.lok`, `.chan`) have no single-tier certify
-    // pipeline and no Lemma-1 transforms; they always run the engine
-    // ladder (the full-precision oracle rung is the default start, so a
-    // budget-free run is exact).
-    if !spec.starts_with("fixture:")
-        && frontend_for(&spec, common.lang).lang() != Lang::Tasklang
-    {
-        if tier_given {
-            return Err("--tier applies to .iwa programs (use --start for other frontends)".into());
-        }
-        if !transforms {
-            return Err("--no-transforms applies to .iwa programs".into());
-        }
-        return analyze_frontend(&spec, &common, trace_out.as_deref());
+    let spec = args
+        .operand
+        .ok_or("missing program (file path or fixture:NAME)")?;
+    let (model, src) = load_model(spec, common.lang)?;
+    // Only tasklang has the §5.1 source transforms.
+    if !transforms && model.lang != Lang::Tasklang {
+        return Err("--no-transforms applies to .iwa programs".into());
     }
-
-    let (program, source) = load_program(&spec)?;
-    let trace = trace_out.as_ref().map(|_| TraceSink::new());
-
-    // Any budget flag switches from the single-tier pipeline to the
-    // engine's degradation ladder.
-    if common.budget_given() {
-        let fallback = if tier_given {
-            Some(match tier {
-                Tier::Heads => Rung::Heads,
-                Tier::HeadPairs => Rung::HeadPairs,
-                Tier::HeadTails => Rung::HeadTails,
-            })
-        } else {
-            None
-        };
-        let mut opts = common.engine_options(fallback)?;
-        opts.apply_transforms = transforms;
-        opts.workers = common.jobs();
-        opts.trace = trace.clone();
-        let report = iwa_engine::analyze(&program, &opts).map_err(|e| e.to_string())?;
-        if let (Some(path), Some(sink)) = (&trace_out, &trace) {
-            write_trace(path, sink)?;
-        }
-        if common.json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-            );
-        } else {
-            print_engine_report(&spec, &report);
-        }
-        return Ok(engine_exit(report.verdict, report.degraded));
-    }
-
-    let opts = CertifyOptions {
-        refined: RefinedOptions {
-            tier,
-            ..RefinedOptions::default()
-        },
-        stall: StallOptions {
-            apply_transforms: transforms,
-            ..StallOptions::default()
-        },
-    };
-    let metrics = Metrics::new();
-    let mut builder = AnalysisCtx::builder()
-        .workers(common.jobs())
-        .metrics(metrics.clone());
-    if let Some(sink) = &trace {
-        builder = builder.trace(sink.clone());
-    }
-    let cert = builder
-        .build()
-        .certify(&program, &opts)
-        .map_err(|e| e.to_string())?;
-    if let (Some(path), Some(sink)) = (&trace_out, &trace) {
-        write_trace(path, sink)?;
-    }
-
-    let oracle = if want_oracle {
-        // The oracle explores the program's own (inlined, never unrolled)
-        // graph.
-        let inlined =
-            iwa_tasklang::transforms::inline_procs(&program).map_err(|e| e.to_string())?;
-        let sg = SyncGraph::from_program(&inlined);
-        let e = explore(&sg, &ExploreConfig::default()).map_err(|e| e.to_string())?;
-        let witness = e
-            .witnesses
-            .first()
-            .map(|steps| steps.iter().map(|s| s.render(&sg)).collect())
-            .unwrap_or_default();
-        let stuck_wave = e.anomalies.first().map(|(w, _)| w.render(&sg));
-        Some(OracleReport {
-            verdict: match e.verdict {
-                Verdict::AnomalyFree => "anomaly-free".into(),
-                Verdict::Anomalous => "anomalous".into(),
-            },
-            states: e.states,
-            can_terminate: e.can_terminate,
-            deadlock: e.has_deadlock(),
-            stall: e.has_stall(),
-            witness,
-            stuck_wave,
-        })
-    } else {
-        None
-    };
-
-    // Describe flagged heads in source terms, on the graph `certify`
-    // analysed.
-    let sg = &cert.sg;
-    let flagged: Vec<String> = cert
-        .refined
-        .flagged
-        .iter()
-        .map(|f| {
-            let d = sg.node(f.head);
-            let name = d
-                .label
-                .clone()
-                .unwrap_or_else(|| format!("node {}", f.head));
-            format!(
-                "{} at {} ({}{})",
-                sg.symbols.task_name(d.task),
-                name,
-                sg.symbols.signal_name(d.rendezvous.signal),
-                d.rendezvous.sign
-            )
-        })
-        .collect();
-
-    let report = AnalyzeReport {
-        schema_version: SCHEMA_VERSION,
-        program: spec.clone(),
-        tasks: program.num_tasks(),
-        rendezvous: program.num_rendezvous(),
-        was_unrolled: cert.was_unrolled,
-        naive_deadlock_free: cert.naive.deadlock_free,
-        refined_deadlock_free: cert.refined.deadlock_free,
-        refined_tier: format!("{tier:?}"),
-        flagged_heads: flagged,
-        stall_verdict: match &cert.stall.verdict {
-            StallVerdict::StallFree => "stall-free".into(),
-            StallVerdict::PossibleStall { signal, sends, accepts } => format!(
-                "possible stall on {} ({sends} sends vs {accepts} accepts)",
-                program.symbols.signal_name(*signal)
-            ),
-            StallVerdict::Unknown { reason } => format!("unknown ({reason})"),
-        },
-        // The quick (AST-level) lints subsume the old validate warnings;
-        // `certify` succeeded, so the model is valid and this cannot fail.
-        diagnostics: run_lints(
-            &AnalysisCtx::builder().workers(common.jobs()).build(),
-            &program,
-            &LintConfig::default(),
-            &quick_registry(),
-        )
-        .unwrap_or_default(),
-        oracle,
-        meta: metrics.meta(),
-    };
-
-    if common.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
-    } else {
-        print_human(&report, source.as_deref());
-    }
-    let clean = report.refined_deadlock_free
-        && report.stall_verdict == "stall-free";
-    Ok(if clean { ExitCode::SUCCESS } else { ExitCode::FAILURE })
-}
-
-/// `iwa analyze` for a non-tasklang program (`.lok`, `.chan`): load
-/// through the file's frontend, run the engine ladder over the lowered
-/// sync graph, and report the frontend's findings (lock-order cycles,
-/// channel-wait cycles, livelocks — each with span-anchored witness
-/// chains) as lint diagnostics alongside the verdict.
-fn analyze_frontend(
-    spec: &str,
-    common: &CommonOpts,
-    trace_out: Option<&str>,
-) -> Result<ExitCode, String> {
-    let src = std::fs::read_to_string(spec).map_err(|e| format!("cannot read {spec}: {e}"))?;
-    let model = frontend_for(spec, common.lang)
-        .load(&src)
-        .map_err(|e| parse_failure(spec, &src, &e))?;
 
     let trace = trace_out.map(|_| TraceSink::new());
-    let mut opts = common.engine_options(None)?;
-    opts.workers = common.jobs();
-    opts.trace = trace.clone();
+    let opts = EngineOptions {
+        apply_transforms: transforms,
+        workers: common.jobs(),
+        trace: trace.clone(),
+        ..common.engine_options()
+    };
     let report = iwa_engine::analyze_model(&model, &opts).map_err(|e| e.to_string())?;
     if let (Some(path), Some(sink)) = (trace_out, &trace) {
         write_trace(path, sink)?;
     }
 
     if common.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
+        print_json(&report)?;
     } else {
         print_engine_report(spec, &report);
         for w in &model.warnings {
             println!("warning   : {w}");
         }
         let ctx = AnalysisCtx::builder().build();
-        let passes = registry_for(model.lang);
-        let diags =
-            lint_model(&ctx, &model, &LintConfig::default(), &passes).map_err(|e| e.to_string())?;
+        let passes = LintStage::Quick.passes(model.lang);
+        let diags = lint_model(&ctx, &model, &LintConfig::default(), &passes)
+            .map_err(|e| e.to_string())?;
+        let src = src.as_deref().unwrap_or("");
         for d in &diags {
-            print!("{}", render_diagnostic(spec, &src, d));
+            print!("{}", render_diagnostic(spec, src, d));
         }
     }
     Ok(engine_exit(report.verdict, report.degraded))
 }
 
-/// The flags `analyze` and `check` accept identically — one parser, one
-/// set of error messages, whichever subcommand the flag appears under.
+/// The flags `analyze`, `check` and `lint` accept identically — one
+/// parser, one set of error messages, whichever subcommand the flag
+/// appears under.
 #[derive(Default)]
 struct CommonOpts {
     json: bool,
     deadline_ms: Option<u64>,
     max_steps: Option<u64>,
-    start: Option<String>,
+    start: Option<Rung>,
     jobs: Option<usize>,
     lang: Option<Lang>,
 }
 
 impl CommonOpts {
-    /// Consume `arg` (and its value from `it`) if it is a common flag.
-    fn try_parse<'a>(
-        &mut self,
-        arg: &str,
-        it: &mut impl Iterator<Item = &'a String>,
-    ) -> Result<bool, String> {
-        let mut value = |flag: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg {
+    /// Consume `flag` (and its value from `args`) if it is a common flag.
+    fn try_parse(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
             "--json" => self.json = true,
-            "--deadline-ms" => {
-                let v = value("--deadline-ms")?;
-                self.deadline_ms =
-                    Some(v.parse().map_err(|_| format!("bad --deadline-ms '{v}'"))?);
-            }
-            "--max-steps" => {
-                let v = value("--max-steps")?;
-                self.max_steps = Some(v.parse().map_err(|_| format!("bad --max-steps '{v}'"))?);
-            }
-            "--start" => {
-                self.start = Some(value("--start")?.to_owned());
-            }
-            "-j" | "--jobs" => {
-                let v = value("-j")?;
-                self.jobs = Some(v.parse().map_err(|_| format!("bad -j '{v}'"))?);
-            }
-            "--lang" => {
-                self.lang = Some(Lang::from_name(value("--lang")?)?);
-            }
+            "--deadline-ms" => self.deadline_ms = Some(args.parse(flag)?),
+            "--max-steps" => self.max_steps = Some(args.parse(flag)?),
+            "--start" => self.start = Some(args.value(flag)?.parse()?),
+            // Both spellings answer as `-j`.
+            "-j" | "--jobs" => self.jobs = Some(args.parse("-j")?),
+            "--lang" => self.lang = Some(Lang::from_name(args.value(flag)?)?),
             _ => return Ok(false),
         }
         Ok(true)
-    }
-
-    /// Did any *budget* flag appear? (Switches `analyze` to ladder mode;
-    /// `--json`/`-j` alone do not.)
-    fn budget_given(&self) -> bool {
-        self.deadline_ms.is_some() || self.max_steps.is_some() || self.start.is_some()
     }
 
     /// The worker count, defaulting to 1 (sequential); `-j 0` means all
@@ -566,21 +367,19 @@ impl CommonOpts {
         self.jobs.unwrap_or(1)
     }
 
-    /// Build engine options; `fallback_start` supplies a start rung when
-    /// `--start` was not given (e.g. mapped from `--tier`). `workers`
-    /// stays at its default — the caller decides which layer `-j` feeds
-    /// (per-head fan-out for `analyze`, file fan-out for `check`).
-    fn engine_options(&self, fallback_start: Option<Rung>) -> Result<EngineOptions, String> {
-        let start = match &self.start {
-            Some(s) => s.parse::<Rung>()?,
-            None => fallback_start.unwrap_or(Rung::Oracle),
-        };
-        Ok(EngineOptions {
-            start,
-            deadline: self.deadline_ms.map(std::time::Duration::from_millis),
+    /// The engine options `analyze` and `check` share: the ladder from
+    /// `--start` (default `oracle`) under `--deadline-ms` (default
+    /// 2000 ms, so one adversarial input cannot stall a run) and
+    /// `--max-steps`. `workers` stays at its default — the caller decides
+    /// which layer `-j` feeds (per-head fan-out for `analyze`, file
+    /// fan-out for `check`).
+    fn engine_options(&self) -> EngineOptions {
+        EngineOptions {
+            start: self.start.unwrap_or(Rung::Oracle),
+            deadline: Some(Duration::from_millis(self.deadline_ms.unwrap_or(2_000))),
             max_steps: self.max_steps,
             ..EngineOptions::default()
-        })
+        }
     }
 }
 
@@ -624,47 +423,32 @@ fn print_engine_report(spec: &str, r: &EngineReport) {
 }
 
 fn check(args: &[String]) -> Result<ExitCode, String> {
-    let mut target = None;
     let mut faults = None;
     let mut retries: u32 = 1;
     let mut common = CommonOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if common.try_parse(a, &mut it)? {
+    let mut args = Args::new(args);
+    while let Some(a) = args.next() {
+        if common.try_parse(a, &mut args)? {
             continue;
         }
-        match a.as_str() {
-            "--fault" => {
-                let spec = it.next().ok_or("--fault needs a plan spec")?;
-                faults = Some(FaultPlan::parse(spec).map_err(|e| format!("bad --fault: {e}"))?);
-            }
-            "--retries" => {
-                let v = it.next().ok_or("--retries needs a count")?;
-                retries = v.parse().map_err(|_| format!("bad --retries '{v}'"))?;
-            }
-            other if target.is_none() && !other.starts_with("--") => {
-                target = Some(other.to_owned());
-            }
-            other => return Err(format!("unexpected argument '{other}'")),
+        match a {
+            "--fault" => faults = Some(fault_plan(args.value(a)?)?),
+            "--retries" => retries = args.parse(a)?,
+            _ => args.operand(a)?,
         }
     }
-    let target = target.ok_or("missing path (a .iwa file or a directory)")?;
-    let mut opts = common.engine_options(None)?;
-    if opts.deadline.is_none() {
-        // Batch runs always carry a per-file deadline: one adversarial
-        // input must not stall the whole corpus.
-        opts.deadline = Some(std::time::Duration::from_millis(2_000));
-    }
+    let target = args
+        .operand
+        .ok_or("missing path (a .iwa file or a directory)")?;
 
-    let sources =
-        iwa_engine::collect_sources(std::path::Path::new(&target)).map_err(|e| e.to_string())?;
+    let sources = iwa_engine::collect_sources(Path::new(target)).map_err(|e| e.to_string())?;
     if sources.files.is_empty() {
         return Err(format!("no analyzable files under {target}"));
     }
     let summary = iwa_engine::check_batch(
         &sources.files,
         &CheckOptions {
-            engine: opts,
+            engine: common.engine_options(),
             jobs: common.jobs(),
             batch_deadline: None,
             // Surface the AST-level lints (the old validate warnings)
@@ -683,10 +467,7 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
     );
 
     if common.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
-        );
+        print_json(&summary)?;
     } else {
         for f in &summary.files {
             let verdict = match f.verdict {
@@ -728,7 +509,6 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::from(summary.exit_code()))
 }
 
-
 /// Serialize the recorded spans in Chrome `trace_event` format, loadable
 /// by `about:tracing` and Perfetto.
 fn write_trace(path: &str, sink: &TraceSink) -> Result<(), String> {
@@ -740,28 +520,19 @@ fn write_trace(path: &str, sink: &TraceSink) -> Result<(), String> {
 }
 
 fn bench(args: &[String]) -> Result<ExitCode, String> {
-    let mut smoke = false;
-    let mut validate = false;
-    let mut history = iwa_bench::history::DEFAULT_HISTORY_PATH.to_owned();
-    let mut no_history = false;
-    let mut label = String::new();
-    let mut i = 0;
-    while i < args.len() {
-        let takes_value = |i: &mut usize, flag: &str| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match args[i].as_str() {
+    let (mut smoke, mut validate, mut no_history) = (false, false, false);
+    let mut history = iwa_bench::history::DEFAULT_HISTORY_PATH;
+    let mut label = "";
+    let mut args = Args::new(args);
+    while let Some(a) = args.next() {
+        match a {
             "--smoke" => smoke = true,
             "--validate" => validate = true,
-            "--history" => history = takes_value(&mut i, "--history")?,
+            "--history" => history = args.value(a)?,
             "--no-history" => no_history = true,
-            "--label" => label = takes_value(&mut i, "--label")?,
-            other => return Err(format!("unexpected argument '{other}'")),
+            "--label" => label = args.value(a)?,
+            _ => return Err(unexpected(a)),
         }
-        i += 1;
     }
 
     let report = iwa_bench::suite::run_suite(smoke);
@@ -776,7 +547,7 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
     // neither pollute the history nor look like a fresh baseline.
     if validate {
         let lines = iwa_bench::history::validate_trajectory(
-            &history,
+            history,
             &report,
             iwa_bench::history::DEFAULT_STEP_REGRESSION_PCT,
         )
@@ -788,8 +559,8 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
     }
 
     if !no_history {
-        let record = iwa_bench::history::HistoryRecord::from_report(&report, &label);
-        iwa_bench::history::append(&history, &record)?;
+        let record = iwa_bench::history::HistoryRecord::from_report(&report, label);
+        iwa_bench::history::append(history, &record)?;
         println!("appended {} record to {history}", report.mode);
     }
     Ok(ExitCode::SUCCESS)
@@ -797,54 +568,21 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
 
 fn serve(args: &[String]) -> Result<ExitCode, String> {
     let mut opts = iwa_serve::ServeOptions::default();
-    let mut port_file: Option<String> = None;
-    let mut it = args.iter();
-    let next = |flag: &str, it: &mut std::slice::Iter<String>| {
-        it.next()
-            .map(String::as_str)
-            .ok_or_else(|| format!("{flag} needs a value"))
-            .map(str::to_owned)
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => opts.addr = next("--addr", &mut it)?,
-            "--workers" => {
-                let v = next("--workers", &mut it)?;
-                opts.workers = v.parse().map_err(|_| format!("bad --workers '{v}'"))?;
-            }
-            "--queue" => {
-                let v = next("--queue", &mut it)?;
-                opts.queue_cap = v.parse().map_err(|_| format!("bad --queue '{v}'"))?;
-            }
-            "--deadline-ms" => {
-                let v = next("--deadline-ms", &mut it)?;
-                let ms: u64 = v.parse().map_err(|_| format!("bad --deadline-ms '{v}'"))?;
-                opts.default_deadline = std::time::Duration::from_millis(ms);
-            }
-            "--grace-ms" => {
-                let v = next("--grace-ms", &mut it)?;
-                let ms: u64 = v.parse().map_err(|_| format!("bad --grace-ms '{v}'"))?;
-                opts.watchdog_grace = std::time::Duration::from_millis(ms);
-            }
-            "--drain-ms" => {
-                let v = next("--drain-ms", &mut it)?;
-                let ms: u64 = v.parse().map_err(|_| format!("bad --drain-ms '{v}'"))?;
-                opts.drain_timeout = std::time::Duration::from_millis(ms);
-            }
-            "--cache" => {
-                let v = next("--cache", &mut it)?;
-                opts.cache_cap = v.parse().map_err(|_| format!("bad --cache '{v}'"))?;
-            }
-            "--start" => {
-                opts.start = next("--start", &mut it)?.parse::<Rung>()?;
-            }
-            "--fault" => {
-                let spec = next("--fault", &mut it)?;
-                opts.faults =
-                    Some(FaultPlan::parse(&spec).map_err(|e| format!("bad --fault: {e}"))?);
-            }
-            "--port-file" => port_file = Some(next("--port-file", &mut it)?),
-            other => return Err(format!("unexpected argument '{other}'")),
+    let mut port_file = None;
+    let mut args = Args::new(args);
+    while let Some(a) = args.next() {
+        match a {
+            "--addr" => opts.addr = args.value(a)?.to_owned(),
+            "--workers" => opts.workers = args.parse(a)?,
+            "--queue" => opts.queue_cap = args.parse(a)?,
+            "--deadline-ms" => opts.default_deadline = Duration::from_millis(args.parse(a)?),
+            "--grace-ms" => opts.watchdog_grace = Duration::from_millis(args.parse(a)?),
+            "--drain-ms" => opts.drain_timeout = Duration::from_millis(args.parse(a)?),
+            "--cache" => opts.cache_cap = args.parse(a)?,
+            "--start" => opts.start = args.value(a)?.parse()?,
+            "--fault" => opts.faults = Some(fault_plan(args.value(a)?)?),
+            "--port-file" => port_file = Some(args.value(a)?),
+            _ => return Err(unexpected(a)),
         }
     }
     if opts.faults.is_none() {
@@ -855,65 +593,36 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     let addr = server.local_addr();
     println!("iwa serve listening on {addr} (send the 'shutdown' op to stop)");
     if let Some(path) = port_file {
-        std::fs::write(&path, addr.port().to_string())
+        std::fs::write(path, addr.port().to_string())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-    let stats = server.join();
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&stats).map_err(|e| e.to_string())?
-    );
+    print_json(&server.join())?;
     Ok(ExitCode::SUCCESS)
 }
 
 fn serve_bench(args: &[String]) -> Result<ExitCode, String> {
     let mut opts = iwa_serve::ServeBenchOptions::default();
-    let mut out: Option<String> = None;
-    let mut validate: Option<String> = None;
-    let mut it = args.iter();
-    let next = |flag: &str, it: &mut std::slice::Iter<String>| {
-        it.next()
-            .map(String::as_str)
-            .ok_or_else(|| format!("{flag} needs a value"))
-            .map(str::to_owned)
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let mut out = "BENCH_serve.json";
+    let mut validate = None;
+    let mut args = Args::new(args);
+    while let Some(a) = args.next() {
+        match a {
             "--smoke" => opts.smoke = true,
-            "--corpus" => opts.corpus = next("--corpus", &mut it)?.into(),
-            "--rounds" => {
-                let v = next("--rounds", &mut it)?;
-                opts.rounds = v.parse().map_err(|_| format!("bad --rounds '{v}'"))?;
-            }
-            "--clients" => {
-                let v = next("--clients", &mut it)?;
-                opts.clients = v.parse().map_err(|_| format!("bad --clients '{v}'"))?;
-            }
-            "--mutate-permille" => {
-                let v = next("--mutate-permille", &mut it)?;
-                opts.mutate_permille =
-                    v.parse().map_err(|_| format!("bad --mutate-permille '{v}'"))?;
-            }
-            "--fault" => {
-                let spec = next("--fault", &mut it)?;
-                opts.faults =
-                    Some(FaultPlan::parse(&spec).map_err(|e| format!("bad --fault: {e}"))?);
-            }
-            "--seed" => {
-                let v = next("--seed", &mut it)?;
-                opts.seed = v.parse().map_err(|_| format!("bad --seed '{v}'"))?;
-            }
-            "--out" => out = Some(next("--out", &mut it)?),
-            "--validate" => validate = Some(next("--validate", &mut it)?),
-            other => return Err(format!("unexpected argument '{other}'")),
+            "--corpus" => opts.corpus = args.value(a)?.into(),
+            "--rounds" => opts.rounds = args.parse(a)?,
+            "--clients" => opts.clients = args.parse(a)?,
+            "--mutate-permille" => opts.mutate_permille = args.parse(a)?,
+            "--fault" => opts.faults = Some(fault_plan(args.value(a)?)?),
+            "--seed" => opts.seed = args.parse(a)?,
+            "--out" => out = args.value(a)?,
+            "--validate" => validate = Some(args.value(a)?),
+            _ => return Err(unexpected(a)),
         }
     }
 
     if let Some(path) = validate {
-        let src = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {path}: {e}"))?;
-        let v = serde_json::from_str(&src)
-            .map_err(|e| format!("{path}: invalid JSON: {e}"))?;
+        let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let v = serde_json::from_str(&src).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
         iwa_serve::validate_report(&v).map_err(|e| format!("{path}: {e}"))?;
         println!(
             "{path}: valid (schema v{})",
@@ -946,10 +655,9 @@ fn serve_bench(args: &[String]) -> Result<ExitCode, String> {
         get("wall_ms"),
         get("verdict_mismatches"),
     );
-    let path = out.unwrap_or_else(|| "BENCH_serve.json".to_owned());
     let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("wrote {path}");
+    std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
+    println!("wrote {out}");
     if get("hangs") > 0 || get("verdict_mismatches") > 0 {
         return Ok(ExitCode::FAILURE);
     }
@@ -1017,74 +725,63 @@ fn list_lints() -> Result<ExitCode, String> {
 }
 
 fn lint(args: &[String]) -> Result<ExitCode, String> {
-    let mut target = None;
-    let mut format: Option<String> = None;
-    let mut explain: Option<Option<String>> = None;
+    let mut format = None;
+    let mut explain = None;
     let mut config = LintConfig::default();
     let mut common = CommonOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if common.try_parse(a, &mut it)? {
+    let mut args = Args::new(args);
+    while let Some(a) = args.next() {
+        if common.try_parse(a, &mut args)? {
             continue;
         }
-        match a.as_str() {
+        match a {
+            // A following non-flag operand names one lint; bare
+            // `--explain` lists the catalog grouped by frontend.
             "--explain" => {
-                // A following non-flag operand names one lint; bare
-                // `--explain` lists the catalog grouped by frontend.
-                explain = match it.as_slice().first() {
-                    Some(next) if !next.starts_with('-') => {
-                        Some(Some(it.next().expect("just peeked").clone()))
-                    }
+                explain = match args.rest.as_slice().first() {
+                    Some(name) if !name.starts_with('-') => Some(args.next()),
                     _ => Some(None),
                 };
             }
-            "--format" => {
-                let v = it.next().ok_or("--format needs a value")?;
-                match v.as_str() {
-                    "text" | "json" | "sarif" => format = Some(v.clone()),
-                    other => return Err(format!("bad --format '{other}' (text|json|sarif)")),
-                }
-            }
+            "--format" => match args.value(a)? {
+                v @ ("text" | "json" | "sarif") => format = Some(v),
+                other => return Err(format!("bad --format '{other}' (text|json|sarif)")),
+            },
             "--deny-warnings" => config.deny_warnings = true,
             "-W" | "-A" | "-D" => {
-                let sev = match a.as_str() {
+                let sev = match a {
                     "-W" => Severity::Warn,
                     "-A" => Severity::Allow,
                     _ => Severity::Deny,
                 };
-                let name = it.next().ok_or_else(|| format!("{a} needs a lint name"))?;
+                let name = args.value(a)?;
                 if !LintConfig::is_known(name) {
                     return Err(format!("unknown lint '{name}' (see 'iwa lint --help')"));
                 }
-                config.levels.push((name.clone(), sev));
+                config.levels.push((name.to_owned(), sev));
             }
-            other if target.is_none() && !other.starts_with('-') => {
-                target = Some(other.to_owned());
-            }
-            other => return Err(format!("unexpected argument '{other}'")),
+            _ => args.operand(a)?,
         }
     }
     if let Some(request) = explain {
         return match request {
-            Some(name) => explain_lint(&name),
+            Some(name) => explain_lint(name),
             None => list_lints(),
         };
     }
-    let target = target.ok_or("missing path (a source file or a directory)")?;
+    let target = args
+        .operand
+        .ok_or("missing path (a source file or a directory)")?;
     if common.start.is_some() {
         return Err("--start applies to analyze/check, not lint".into());
     }
-    let format = match format {
-        Some(f) => f,
-        None if common.json => "json".to_owned(),
-        None => "text".to_owned(),
-    };
+    let format = format.unwrap_or(if common.json { "json" } else { "text" });
 
     // The shared budget flags feed the graph lints through AnalysisCtx —
     // an exhausted budget silences a graph lint, never corrupts it.
     let mut budget = Budget::unlimited();
     if let Some(ms) = common.deadline_ms {
-        budget = budget.and_deadline(std::time::Duration::from_millis(ms));
+        budget = budget.and_deadline(Duration::from_millis(ms));
     }
     if let Some(steps) = common.max_steps {
         budget = budget.and_max_steps(steps);
@@ -1094,8 +791,7 @@ fn lint(args: &[String]) -> Result<ExitCode, String> {
         .workers(common.jobs())
         .build();
 
-    let collected =
-        iwa_engine::collect_sources(std::path::Path::new(&target)).map_err(|e| e.to_string())?;
+    let collected = iwa_engine::collect_sources(Path::new(target)).map_err(|e| e.to_string())?;
     if collected.files.is_empty() {
         return Err(format!("no lintable files under {target}"));
     }
@@ -1115,7 +811,7 @@ fn lint(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|e| format!("cannot read {display}: {e}"))?;
         // A parse error gets the caret excerpt; a model violation, like a
         // failed lint, gets the path prefix.
-        let model = frontend_for(&display, common.lang)
+        let model = frontends::resolve(path, common.lang)
             .load(&src)
             .map_err(|e| match e {
                 IwaError::Parse { .. } => parse_failure(&display, &src, &e),
@@ -1127,20 +823,16 @@ fn lint(args: &[String]) -> Result<ExitCode, String> {
         per_file.push((display, model.lang.name().to_owned(), diags));
     }
 
-    match format.as_str() {
+    match format {
         "sarif" => {
             let flat: Vec<(String, Vec<Diagnostic>)> = per_file
                 .iter()
                 .map(|(path, _, diags)| (path.clone(), diags.clone()))
                 .collect();
-            let doc = iwa_lint::sarif::to_sarif(&flat);
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?
-            );
+            print_json(&iwa_lint::sarif::to_sarif(&flat))?;
         }
         "json" => {
-            let report = LintReport {
+            print_json(&LintReport {
                 schema_version: SCHEMA_VERSION,
                 files: per_file
                     .iter()
@@ -1151,11 +843,7 @@ fn lint(args: &[String]) -> Result<ExitCode, String> {
                     })
                     .collect(),
                 skipped: skipped.clone(),
-            };
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-            );
+            })?;
         }
         _ => {
             for ((path, _, diags), src) in per_file.iter().zip(&sources) {
@@ -1194,113 +882,50 @@ fn lint(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-fn print_human(r: &AnalyzeReport, source: Option<&str>) {
-    println!("program      : {}", r.program);
-    println!("size         : {} tasks, {} rendezvous", r.tasks, r.rendezvous);
-    if r.was_unrolled {
-        println!("transform    : loops unrolled twice (Lemma 1)");
-    }
-    println!(
-        "naive  (§3.1): {}",
-        if r.naive_deadlock_free {
-            "deadlock-free"
-        } else {
-            "potential deadlock"
-        }
-    );
-    println!(
-        "refined(§4.2): {} [tier {}]",
-        if r.refined_deadlock_free {
-            "deadlock-free"
-        } else {
-            "potential deadlock"
-        },
-        r.refined_tier
-    );
-    for f in &r.flagged_heads {
-        println!("    flagged head: {f}");
-    }
-    println!("stall  (§5)  : {}", r.stall_verdict);
-    for d in &r.diagnostics {
-        // With no source text (fixtures) the renderer degrades to the
-        // message plus a bare `--> path` line.
-        print!("{}", render_diagnostic(&r.program, source.unwrap_or(""), d));
-    }
-    if let Some(o) = &r.oracle {
-        println!(
-            "oracle       : {} ({} states{}{}{})",
-            o.verdict,
-            o.states,
-            if o.deadlock { ", deadlock" } else { "" },
-            if o.stall { ", stall" } else { "" },
-            if o.can_terminate { ", can terminate" } else { "" },
-        );
-        if let Some(wave) = &o.stuck_wave {
-            println!("    stuck wave : {wave}");
-            if o.witness.is_empty() {
-                println!("    schedule   : stuck from the start");
-            } else {
-                for (i, s) in o.witness.iter().enumerate() {
-                    println!("    schedule {:>2}: {s}", i + 1);
-                }
-            }
-        }
-    }
-}
-
 enum Transform {
     Inline,
     Unroll,
 }
 
 fn transform(args: &[String], which: Transform) -> Result<ExitCode, String> {
+    let mut args = Args::new(args);
+    while let Some(a) = args.next() {
+        args.operand(a)?;
+    }
     let spec = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
+        .operand
         .ok_or("missing program (file path or fixture:NAME)")?;
-    let (program, _) = load_program(spec)?;
+    let (model, _) = load_model(spec, None)?;
+    let program = model
+        .as_tasklang()
+        .ok_or("inline and unroll apply to .iwa programs")?;
+    let inlined = inline_procs(program).map_err(|e| e.to_string())?;
     let out = match which {
-        Transform::Inline => {
-            iwa_tasklang::transforms::inline_procs(&program).map_err(|e| e.to_string())?
-        }
-        Transform::Unroll => {
-            let inlined = iwa_tasklang::transforms::inline_procs(&program)
-                .map_err(|e| e.to_string())?;
-            iwa_tasklang::transforms::unroll_twice(&inlined)
-        }
+        Transform::Inline => inlined,
+        Transform::Unroll => unroll_twice(&inlined),
     };
     print!("{}", out.to_source());
     Ok(ExitCode::SUCCESS)
 }
 
 fn graph(args: &[String]) -> Result<ExitCode, String> {
-    let mut spec = None;
     let mut want_clg = false;
-    for a in args {
-        match a.as_str() {
+    let mut args = Args::new(args);
+    while let Some(a) = args.next() {
+        match a {
             "--clg" => want_clg = true,
-            other if spec.is_none() && !other.starts_with("--") => {
-                spec = Some(other.to_owned());
-            }
-            other => return Err(format!("unexpected argument '{other}'")),
+            _ => args.operand(a)?,
         }
     }
-    let spec = spec.ok_or("missing program (file path or fixture:NAME)")?;
-    // Non-tasklang models (`.lok`, `.chan`) lower eagerly; dump the
-    // lowered graph directly.
-    let sg = if !spec.starts_with("fixture:")
-        && frontend_for(&spec, None).lang() != Lang::Tasklang
-    {
-        let src = std::fs::read_to_string(&spec).map_err(|e| format!("cannot read {spec}: {e}"))?;
-        let model = frontend_for(&spec, None)
-            .load(&src)
-            .map_err(|e| parse_failure(&spec, &src, &e))?;
-        model.sync_graph()
-    } else {
-        let (program, _) = load_program(&spec)?;
-        let program = iwa_tasklang::transforms::inline_procs(&program)
-            .map_err(|e| e.to_string())?;
-        SyncGraph::from_program(&program)
+    let spec = args
+        .operand
+        .ok_or("missing program (file path or fixture:NAME)")?;
+    let (model, _) = load_model(spec, None)?;
+    // Tasklang lowers after inlining; `.lok` and `.chan` models arrive
+    // lowered.
+    let sg = match model.as_tasklang() {
+        Some(p) => SyncGraph::from_program(&inline_procs(p).map_err(|e| e.to_string())?),
+        None => model.sync_graph(),
     };
     if want_clg {
         let clg = Clg::build(&sg);

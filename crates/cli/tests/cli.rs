@@ -33,20 +33,33 @@ fn fixtures_are_listed() {
 fn analyzing_a_clean_fixture_exits_zero() {
     // lemma2 is deadlock-flagged at base tier, but the pair tier plus the
     // balanced counts make it fully clean.
-    let (out, _, code) = iwa(&["analyze", "fixture:lemma2", "--tier", "pairs"]);
+    let (out, _, code) = iwa(&["analyze", "fixture:lemma2", "--start", "pairs"]);
     assert_eq!(code, Some(0), "{out}");
-    assert!(out.contains("deadlock-free"));
-    assert!(out.contains("stall-free"));
+    assert!(out.contains("verdict   : clean (rung 'pairs')"), "{out}");
+    assert!(!out.contains("flagged"), "{out}");
 }
 
 #[test]
 fn analyzing_a_deadlock_exits_nonzero_and_names_heads() {
-    let (out, _, code) = iwa(&["analyze", "fixture:fig2b", "--oracle"]);
-    assert_eq!(code, Some(1));
-    assert!(out.contains("potential deadlock"));
-    assert!(out.contains("flagged head"));
-    assert!(out.contains("oracle"));
-    assert!(out.contains("deadlock"));
+    // The default oracle rung names the deadlocked wave and the schedule
+    // that reaches it: none, the crossed sends wedge at once.
+    let (out, _, code) = iwa(&["analyze", "fixture:fig2b"]);
+    assert_eq!(code, Some(1), "{out}");
+    assert!(
+        out.contains("verdict   : anomalous (rung 'oracle')"),
+        "{out}"
+    );
+    assert!(
+        out.contains("flagged   : deadlock set: t1:sa, t2:sb; schedule: stuck from the start"),
+        "{out}"
+    );
+    // The refined rungs name the flagged heads.
+    let (out, _, code) = iwa(&["analyze", "fixture:fig2b", "--start", "heads"]);
+    assert_eq!(code, Some(1), "{out}");
+    assert!(
+        out.contains("flagged   : potential deadlock: head t1:sa"),
+        "{out}"
+    );
 }
 
 #[test]
@@ -54,8 +67,12 @@ fn json_output_is_valid_json() {
     let (out, _, code) = iwa(&["analyze", "fixture:fig2b", "--json"]);
     assert_eq!(code, Some(1));
     let v: serde_json::Value = serde_json::from_str(&out).expect("valid json");
-    assert_eq!(v["refined_deadlock_free"], serde_json::Value::Bool(false));
-    assert_eq!(v["tasks"], 2);
+    assert_eq!(v["verdict"], "Anomalous");
+    assert_eq!(v["rung"], "Oracle");
+    assert_eq!(
+        v["meta"]["metrics"]["sg_nodes"], 6,
+        "b, e and 2 tasks × 2 rendezvous"
+    );
 }
 
 #[test]
@@ -75,7 +92,7 @@ fn file_input_works() {
     std::fs::write(&path, "task a { send b.m; } task b { accept m; }").unwrap();
     let (out, err, code) = iwa(&["analyze", path.to_str().unwrap()]);
     assert_eq!(code, Some(0), "stdout: {out}\nstderr: {err}");
-    assert!(out.contains("deadlock-free"));
+    assert!(out.contains("verdict   : clean (rung 'oracle')"), "{out}");
 }
 
 #[test]
@@ -316,6 +333,14 @@ fn inline_and_unroll_print_transformed_programs() {
     assert_eq!(code, Some(0));
     assert!(!out.contains("while"), "unroll removes loops");
     assert_eq!(out.matches("send b.m;").count(), 2, "two copies");
+    for sub in ["inline", "unroll"] {
+        let (out, err, code) = iwa(&[sub, "fixture:fig1", "--bogus"]);
+        assert_eq!(code, Some(2), "{sub}: {out}");
+        assert!(
+            err.contains("unexpected argument '--bogus'"),
+            "{sub}: {err}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------- lint
@@ -453,7 +478,14 @@ fn assert_loadable_chrome_trace(path: &std::path::Path) -> serde_json::Value {
 fn analyze_trace_out_writes_a_loadable_chrome_trace() {
     let dir = scratch("trace-plain");
     let trace = dir.join("trace.json");
-    let (_, err, code) = iwa(&["analyze", "fixture:fig1", "--trace-out", trace.to_str().unwrap()]);
+    let (_, err, code) = iwa(&[
+        "analyze",
+        "fixture:fig1",
+        "--start",
+        "heads",
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ]);
     assert_eq!(code, Some(1), "fig1 flags: {err}");
     let doc = assert_loadable_chrome_trace(&trace);
     let names: Vec<&str> = doc["traceEvents"]
@@ -722,9 +754,16 @@ fn analyzing_a_clean_lok_file_exits_zero() {
 
 #[test]
 fn lok_rejects_iwa_only_flags_with_clear_messages() {
-    let (_, err, code) = iwa_at_root(&["analyze", "corpus/locks/abba.lok", "--tier", "pairs"]);
-    assert_eq!(code, Some(2));
-    assert!(err.contains("--tier applies to .iwa programs"), "{err}");
+    // `--tier` and `--oracle` are gone for every language: `--start`
+    // names every rung.
+    for flag in ["--tier", "--oracle"] {
+        let (_, err, code) = iwa_at_root(&["analyze", "corpus/locks/abba.lok", flag]);
+        assert_eq!(code, Some(2));
+        assert!(
+            err.contains(&format!("unexpected argument '{flag}'")),
+            "{err}"
+        );
+    }
     let (_, err, code) = iwa_at_root(&["analyze", "corpus/locks/abba.lok", "--no-transforms"]);
     assert_eq!(code, Some(2));
     assert!(err.contains("--no-transforms applies to .iwa programs"), "{err}");
@@ -853,4 +892,39 @@ proc p4 { recv c; recv a; }
     assert_eq!(code, Some(1), "stdout: {out}\nstderr: {err}");
     assert!(out.contains(&format!("error[channel-cycle]: {witness}")), "{out}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The oracle is data-blind: it takes every branch combination, so on
+/// §5.1 encapsulated-boolean programs it reaches waves no run can. The
+/// sensor and the controller agree on `someone` (fig5d: `v` and `w`),
+/// so the extra exchange happens on both sides or on neither, but the
+/// oracle also tries one side without the other and flags a stall. The
+/// Heads rung, with the §5.1 transforms, sees the carried boolean and
+/// certifies; without them it flags as well. Here a cheaper rung is the
+/// more precise one (DESIGN §6.2).
+#[test]
+fn the_data_blind_oracle_flags_what_the_transforms_certify() {
+    for (spec, stalled) in [
+        (
+            "corpus/door_controller.iwa",
+            "stalled nodes: controller:controller.hold-",
+        ),
+        ("fixture:fig5d", "stalled nodes: u:u.r-"),
+    ] {
+        let (out, err, code) = iwa_at_root(&["analyze", spec]);
+        assert_eq!(code, Some(1), "{spec}: stdout: {out}\nstderr: {err}");
+        assert!(
+            out.contains("verdict   : anomalous (rung 'oracle')"),
+            "{spec}: {out}"
+        );
+        assert!(
+            out.contains(&format!("flagged   : {stalled}")),
+            "{spec}: {out}"
+        );
+        let (out, err, code) = iwa_at_root(&["analyze", spec, "--start", "heads"]);
+        assert_eq!(code, Some(0), "{spec}: stdout: {out}\nstderr: {err}");
+        let (out, err, code) =
+            iwa_at_root(&["analyze", spec, "--start", "heads", "--no-transforms"]);
+        assert_eq!(code, Some(1), "{spec}: stdout: {out}\nstderr: {err}");
+    }
 }

@@ -144,7 +144,7 @@ pub struct SchedStats {
 }
 
 /// The `meta` block embedded in every versioned JSON report
-/// (`EngineReport`, `CheckSummary`, `AnalyzeReport`): deterministic
+/// (`EngineReport`, `CheckSummary`): deterministic
 /// counters plus quarantined scheduling stats.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct Meta {

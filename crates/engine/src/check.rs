@@ -22,7 +22,7 @@ use iwa_core::fault::{FaultPlan, FaultSite};
 use iwa_core::obs::{Counters, Meta};
 use iwa_core::{pool, Budget, IwaError};
 use iwa_frontend::{registry as frontends, Lang};
-use iwa_lint::{lint_model, quick_registry, registry_for, Diagnostic, LintConfig};
+use iwa_lint::{lint_model, quick_registry, registry_for, Diagnostic, LintConfig, LintPass};
 use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -105,6 +105,19 @@ pub enum LintStage {
     /// the tasklang sync-graph lints that re-run the refined and stall
     /// analyses.
     Full,
+}
+
+impl LintStage {
+    /// The lint passes this stage runs on a `lang` model (none when
+    /// [`Off`](LintStage::Off)).
+    #[must_use]
+    pub fn passes(self, lang: Lang) -> Vec<Box<dyn LintPass>> {
+        match (self, lang) {
+            (LintStage::Off, _) => Vec::new(),
+            (LintStage::Quick, Lang::Tasklang) => quick_registry(),
+            (LintStage::Quick | LintStage::Full, lang) => registry_for(lang),
+        }
+    }
 }
 
 /// Options for [`check_batch`].
@@ -381,17 +394,16 @@ fn check_attempt(
         Ok(report) => report,
         Err(e) => return Checked::Invalid(e),
     };
-    let passes = match (lint, model.lang) {
-        (LintStage::Off, _) => return Checked::Report(report, Vec::new()),
-        (LintStage::Quick, Lang::Tasklang) => quick_registry(),
-        (LintStage::Quick | LintStage::Full, lang) => registry_for(lang),
-    };
+    if lint == LintStage::Off {
+        return Checked::Report(report, Vec::new());
+    }
     // The model analysed cleanly, so the lint context builds; a
     // budget-tripped graph lint degrades to silence, not an error.
     let ctx = iwa_analysis::AnalysisCtx::builder()
         .workers(opts.workers)
         .build();
-    let diagnostics = lint_model(&ctx, &model, lint_config, &passes).unwrap_or_default();
+    let diagnostics =
+        lint_model(&ctx, &model, lint_config, &lint.passes(model.lang)).unwrap_or_default();
     Checked::Report(report, diagnostics)
 }
 

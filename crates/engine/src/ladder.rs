@@ -11,7 +11,8 @@
 //! Ladder, most precise first:
 //!
 //! 1. [`Rung::Oracle`] — exhaustive wave-space exploration (ground truth,
-//!    worst-case exponential);
+//!    worst-case exponential); on tasklang its first flagged anomaly
+//!    carries the rendezvous schedule that reaches it;
 //! 2. [`Rung::HeadTails`] — refined algorithm, head–tail confirmation;
 //! 3. [`Rung::HeadPairs`] — refined algorithm, head-pair confirmation;
 //! 4. [`Rung::Heads`] — refined algorithm, base tier;
@@ -54,8 +55,10 @@ use std::time::Duration;
 /// [`CheckSummary`](crate::check::CheckSummary); `4` added the
 /// `io_retries` counter to the `meta.metrics` block; `5` added frontend
 /// dispatch — `lang` on [`FileOutcome`](crate::check::FileOutcome) and
-/// the `skipped` list on [`CheckSummary`](crate::check::CheckSummary).
-pub const SCHEMA_VERSION: u32 = 5;
+/// the `skipped` list on [`CheckSummary`](crate::check::CheckSummary);
+/// `6` made [`EngineReport`] the CLI's one `iwa analyze --json` shape
+/// for every language (the tasklang-only single-tier report is gone).
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// One rung of the degradation ladder, most precise first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
@@ -495,11 +498,22 @@ fn run_rung(
                 Verdict::AnomalyFree => EngineVerdict::Clean,
                 Verdict::Anomalous => EngineVerdict::Anomalous,
             };
-            let flagged = e
+            let mut flagged: Vec<String> = e
                 .anomalies
                 .iter()
                 .map(|(_, report)| describe_anomaly(&sg, report))
                 .collect();
+            // The exploration already rebuilt the first anomaly's
+            // schedule; name it on that anomaly's line.
+            if let (Some(first), Some(schedule)) = (flagged.first_mut(), e.witnesses.first()) {
+                first.push_str("; schedule: ");
+                if schedule.is_empty() {
+                    first.push_str("stuck from the start");
+                } else {
+                    let steps: Vec<String> = schedule.iter().map(|s| s.render(&sg)).collect();
+                    first.push_str(&steps.join(", "));
+                }
+            }
             Ok((verdict, flagged))
         }
         Rung::HeadTails | Rung::HeadPairs | Rung::Heads => {

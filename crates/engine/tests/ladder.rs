@@ -43,6 +43,40 @@ fn oracle_flags_the_crossed_deadlock() {
         "flagged: {:?}",
         r.flagged
     );
+    // The crossed sends wedge before any rendezvous fires; the first
+    // anomaly names that empty schedule.
+    assert!(
+        r.flagged[0].ends_with("; schedule: stuck from the start"),
+        "flagged: {:?}",
+        r.flagged
+    );
+}
+
+#[test]
+fn the_oracle_names_the_schedule_that_reaches_its_first_anomaly() {
+    let src = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../corpus/bank_transfer.iwa"
+    ))
+    .unwrap();
+    let r = analyze(&parse(&src).unwrap(), &EngineOptions::default()).unwrap();
+    assert_eq!(r.rung, Rung::Oracle);
+    assert_eq!(r.verdict, EngineVerdict::Anomalous);
+    // Each transfer takes its first account's lock, then both block on
+    // the other's: two rendezvous into the deadlock.
+    let (set, schedule) = r.flagged[0].split_once("; schedule: ").expect("a schedule");
+    assert!(set.starts_with("deadlock set: "), "{set}");
+    assert_eq!(
+        schedule,
+        "account_a:account_a.lock- ⇄ transfer_ab:account_a.lock+, \
+         account_b:account_b.lock- ⇄ transfer_ba:account_b.lock+"
+    );
+
+    // Only the first anomaly carries one: fig5d's oracle flags two stalls.
+    let r = analyze(&iwa_workloads::figures::fig5d(), &EngineOptions::default()).unwrap();
+    assert_eq!(r.flagged.len(), 2, "{:?}", r.flagged);
+    assert!(r.flagged[0].contains("; schedule: "), "{:?}", r.flagged);
+    assert!(!r.flagged[1].contains("schedule"), "{:?}", r.flagged);
 }
 
 #[test]

@@ -120,6 +120,22 @@ pub struct LoadedModel {
 }
 
 impl LoadedModel {
+    /// Validate a parsed `.iwa` program into a model: the tasklang
+    /// frontend's [`load`](Frontend::load) after parsing, and the entry
+    /// for programs built in memory (the CLI's `fixture:` programs).
+    pub fn from_program(p: Program) -> Result<LoadedModel, IwaError> {
+        iwa_tasklang::validate::check_model(&p)?;
+        let warnings = iwa_tasklang::validate::model_warnings(&p)
+            .iter()
+            .map(render_tasklang_warning)
+            .collect();
+        Ok(LoadedModel {
+            lang: Lang::Tasklang,
+            ir: ModelIr::Tasklang(p),
+            warnings,
+        })
+    }
+
     /// The sync graph of the loaded model, lowered on demand for
     /// tasklang (the engine applies AST transforms first and lowers its
     /// own copies) and shared for frontends that lower eagerly.
@@ -213,17 +229,7 @@ impl Frontend for TasklangFrontend {
     }
 
     fn load(&self, src: &str) -> Result<LoadedModel, IwaError> {
-        let p = iwa_tasklang::parse(src)?;
-        iwa_tasklang::validate::check_model(&p)?;
-        let warnings = iwa_tasklang::validate::model_warnings(&p)
-            .iter()
-            .map(render_tasklang_warning)
-            .collect();
-        Ok(LoadedModel {
-            lang: Lang::Tasklang,
-            ir: ModelIr::Tasklang(p),
-            warnings,
-        })
+        LoadedModel::from_program(iwa_tasklang::parse(src)?)
     }
 }
 

@@ -121,6 +121,29 @@ status=0
 [ "$status" -eq 1 ] || { echo "iwa lint corpus/channels (sarif) exited $status, want 1" >&2; exit 1; }
 diff tests/golden/corpus_channels.sarif "$tmpdir/channels-lint.sarif"
 
+echo "==> corpus verdicts: plain iwa analyze answers every // expect: header"
+# Default flags only: the ladder from the oracle rung under a 2000 ms
+# deadline, the defaults iwa check uses. A file whose header is clean
+# must exit 0; deadlock, stall and livelock must exit 1. Other headers
+# (stall-free-with-transforms, no-deadlock) name no single exit code.
+checked=0
+for f in corpus/*.iwa corpus/locks/*.lok corpus/channels/*.chan; do
+    expect="$(sed -n 's|^// expect: *\([a-z-]*\).*|\1|p' "$f" | head -n 1)"
+    case "$expect" in
+        clean) want=0 ;;
+        deadlock|stall|livelock) want=1 ;;
+        *) continue ;;
+    esac
+    status=0
+    ./target/release/iwa analyze "$f" > "$tmpdir/expect.txt" || status=$?
+    [ "$status" -eq "$want" ] || {
+        echo "iwa analyze $f exited $status, want $want (expect: $expect)" >&2
+        exit 1
+    }
+    checked=$((checked + 1))
+done
+echo "$checked corpus files answered as their headers expect"
+
 echo "==> serve smoke: the daemon routes .lok and .chan requests through their frontends"
 cargo test -q -p iwa-serve --test serve lok_requests_route_through_the_lock_frontend
 cargo test -q -p iwa-serve --test serve chan_requests_route_through_the_channel_frontend
