@@ -29,9 +29,46 @@ use iwa_lint::{lint_model, registry, registry_for, Diagnostic, LintConfig, Sever
 use iwa_syncgraph::{dot, Clg, SyncGraph};
 use iwa_tasklang::transforms::{inline_procs, unroll_twice};
 use serde::Serialize;
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+
+/// Write to standard output. A reader that closes it early (`iwa check
+/// corpus | head`) ends the output, not the command: after the first
+/// `BrokenPipe` every later write is dropped, and the command still exits
+/// with the status it computes. Any other write error panics, as
+/// `print!` does.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() != ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {e}");
+        }
+        CLOSED.store(true, Ordering::Relaxed);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,7 +94,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         Some("unroll") => transform(&args[1..], Transform::Unroll),
         Some("fixtures") => {
             for (name, p) in iwa_workloads::figures::all_figures() {
-                println!(
+                outln!(
                     "fixture:{name:<8}  {} tasks, {} rendezvous",
                     p.num_tasks(),
                     p.num_rendezvous()
@@ -67,7 +104,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         Some("langs") => {
             for f in frontends::all() {
-                println!(
+                outln!(
                     "{:<6} .{:<6} {}",
                     f.lang().name(),
                     f.extensions().join(", ."),
@@ -77,7 +114,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         Some("help") | None => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
         Some(other) => Err(format!("unknown subcommand '{other}' (try 'iwa help')")),
@@ -238,7 +275,7 @@ fn fault_plan(spec: &str) -> Result<FaultPlan, String> {
 
 fn print_json(value: &impl Serialize) -> Result<(), String> {
     let json = serde_json::to_string_pretty(value).map_err(|e| e.to_string())?;
-    println!("{json}");
+    outln!("{json}");
     Ok(())
 }
 
@@ -318,7 +355,7 @@ fn analyze(args: &[String]) -> Result<ExitCode, String> {
     } else {
         print_engine_report(spec, &report);
         for w in &model.warnings {
-            println!("warning   : {w}");
+            outln!("warning   : {w}");
         }
         let ctx = AnalysisCtx::builder().build();
         let passes = LintStage::Quick.passes(model.lang);
@@ -326,7 +363,7 @@ fn analyze(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|e| e.to_string())?;
         let src = src.as_deref().unwrap_or("");
         for d in &diags {
-            print!("{}", render_diagnostic(spec, src, d));
+            out!("{}", render_diagnostic(spec, src, d));
         }
     }
     Ok(engine_exit(report.verdict, report.degraded))
@@ -392,20 +429,20 @@ fn engine_exit(verdict: EngineVerdict, degraded: bool) -> ExitCode {
 }
 
 fn print_engine_report(spec: &str, r: &EngineReport) {
-    println!("program   : {spec}");
+    outln!("program   : {spec}");
     let verdict = match r.verdict {
         EngineVerdict::Clean => "clean",
         EngineVerdict::Anomalous => "anomalous",
         EngineVerdict::Unknown => "unknown",
     };
     if r.degraded {
-        println!("verdict   : {verdict} (degraded: produced by rung '{}')", r.rung);
+        outln!("verdict   : {verdict} (degraded: produced by rung '{}')", r.rung);
     } else {
-        println!("verdict   : {verdict} (rung '{}')", r.rung);
+        outln!("verdict   : {verdict} (rung '{}')", r.rung);
     }
-    println!("ladder    : {} ms total", r.elapsed_ms);
+    outln!("ladder    : {} ms total", r.elapsed_ms);
     for a in &r.attempts {
-        print!(
+        out!(
             "    {:<10} {:<16} {:>6} ms {:>10} steps",
             a.rung.name(),
             a.outcome,
@@ -413,12 +450,12 @@ fn print_engine_report(spec: &str, r: &EngineReport) {
             a.steps
         );
         match &a.detail {
-            Some(d) => println!("  ({d})"),
-            None => println!(),
+            Some(d) => outln!("  ({d})"),
+            None => outln!(),
         }
     }
     for f in &r.flagged {
-        println!("flagged   : {f}");
+        outln!("flagged   : {f}");
     }
 }
 
@@ -476,23 +513,23 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
                 Some(EngineVerdict::Unknown) => "unknown",
                 None => "-",
             };
-            print!("{:<14} {:<9} {}", f.status, verdict, f.path);
+            out!("{:<14} {:<9} {}", f.status, verdict, f.path);
             if let Some(rung) = f.rung {
-                print!("  [{}{}]", rung.name(), if f.degraded { ", degraded" } else { "" });
+                out!("  [{}{}]", rung.name(), if f.degraded { ", degraded" } else { "" });
             }
             if let Some(e) = &f.error {
-                print!("  ({e})");
+                out!("  ({e})");
             }
-            println!();
+            outln!();
             if !f.diagnostics.is_empty() {
                 let src = std::fs::read_to_string(&f.path).unwrap_or_default();
-                print!("{}", render_diagnostics(&f.path, &src, &f.diagnostics));
+                out!("{}", render_diagnostics(&f.path, &src, &f.diagnostics));
             }
         }
         for s in &summary.skipped {
-            println!("{:<14} {:<9} {s}  (unknown language)", "skipped", "-");
+            outln!("{:<14} {:<9} {s}  (unknown language)", "skipped", "-");
         }
-        println!(
+        outln!(
             "checked {} files in {} ms: {} clean, {} anomalous, {} unknown, \
              {} degraded, {} errors, {} panicked, {} skipped",
             summary.total,
@@ -537,7 +574,7 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
 
     let report = iwa_bench::suite::run_suite(smoke);
     for row in &report.rows {
-        println!(
+        outln!(
             "{:<18} size {:>3}  {:>6} ms {:>12} steps  {:>5} heads examined",
             row.family, row.size, row.wall_ms, row.steps, row.metrics.heads_examined
         );
@@ -552,16 +589,16 @@ fn bench(args: &[String]) -> Result<ExitCode, String> {
             iwa_bench::history::DEFAULT_STEP_REGRESSION_PCT,
         )
         .map_err(|e| format!("bench trajectory regression:\n{e}"))?;
-        println!("trajectory check against {history}:");
+        outln!("trajectory check against {history}:");
         for line in lines {
-            println!("  {line}");
+            outln!("  {line}");
         }
     }
 
     if !no_history {
         let record = iwa_bench::history::HistoryRecord::from_report(&report, label);
         iwa_bench::history::append(history, &record)?;
-        println!("appended {} record to {history}", report.mode);
+        outln!("appended {} record to {history}", report.mode);
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -591,7 +628,7 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
 
     let server = iwa_serve::Server::start(opts).map_err(|e| e.to_string())?;
     let addr = server.local_addr();
-    println!("iwa serve listening on {addr} (send the 'shutdown' op to stop)");
+    outln!("iwa serve listening on {addr} (send the 'shutdown' op to stop)");
     if let Some(path) = port_file {
         std::fs::write(path, addr.port().to_string())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -624,7 +661,7 @@ fn serve_bench(args: &[String]) -> Result<ExitCode, String> {
         let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let v = serde_json::from_str(&src).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
         iwa_serve::validate_report(&v).map_err(|e| format!("{path}: {e}"))?;
-        println!(
+        outln!(
             "{path}: valid (schema v{})",
             iwa_serve::BENCH_SERVE_SCHEMA_VERSION
         );
@@ -633,7 +670,7 @@ fn serve_bench(args: &[String]) -> Result<ExitCode, String> {
 
     let report = iwa_serve::run_bench(&opts)?;
     let get = |k: &str| report.get(k).and_then(serde::Value::as_u64).unwrap_or(0);
-    println!(
+    outln!(
         "serve-bench: {} requests, {} ok ({} cached), {} errors, {} shed, \
          {} timeouts, {} cancelled, {} hangs",
         get("requests"),
@@ -645,7 +682,7 @@ fn serve_bench(args: &[String]) -> Result<ExitCode, String> {
         get("cancelled"),
         get("hangs"),
     );
-    println!(
+    outln!(
         "cache: {} hits / {} misses; client round trip p50 {} µs, p99 {} µs; \
          {} ms wall; {} verdict mismatches",
         get("cache_hits"),
@@ -657,7 +694,7 @@ fn serve_bench(args: &[String]) -> Result<ExitCode, String> {
     );
     let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
     std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
+    outln!("wrote {out}");
     if get("hangs") > 0 || get("verdict_mismatches") > 0 {
         return Ok(ExitCode::FAILURE);
     }
@@ -693,9 +730,9 @@ fn explain_lint(name: &str) -> Result<ExitCode, String> {
         ));
     };
     let l = pass.lint();
-    println!("{}", l.name);
-    println!("  default severity : {}", l.default_severity);
-    println!("  description      : {}", l.description);
+    outln!("{}", l.name);
+    outln!("  default severity : {}", l.default_severity);
+    outln!("  description      : {}", l.description);
     let frontends: Vec<String> = l
         .applies_to
         .iter()
@@ -704,7 +741,7 @@ fn explain_lint(name: &str) -> Result<ExitCode, String> {
             format!("{} (.{})", lang.name(), f.extensions().join(", ."))
         })
         .collect();
-    println!("  applies to       : {}", frontends.join(", "));
+    outln!("  applies to       : {}", frontends.join(", "));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -715,10 +752,10 @@ fn list_lints() -> Result<ExitCode, String> {
     for f in frontends::all() {
         let lang = f.lang();
         let passes = registry_for(lang);
-        println!("{} (.{}): {} lints", lang.name(), f.extensions().join(", ."), passes.len());
+        outln!("{} (.{}): {} lints", lang.name(), f.extensions().join(", ."), passes.len());
         for p in &passes {
             let l = p.lint();
-            println!("  {:<22} {:<7} {}", l.name, l.default_severity.to_string(), l.description);
+            outln!("  {:<22} {:<7} {}", l.name, l.default_severity.to_string(), l.description);
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -848,11 +885,11 @@ fn lint(args: &[String]) -> Result<ExitCode, String> {
         _ => {
             for ((path, _, diags), src) in per_file.iter().zip(&sources) {
                 if !diags.is_empty() {
-                    print!("{}", render_diagnostics(path, src, diags));
+                    out!("{}", render_diagnostics(path, src, diags));
                 }
             }
             for s in &skipped {
-                println!("{s}: skipped (unknown language)");
+                outln!("{s}: skipped (unknown language)");
             }
             let errors: usize = per_file
                 .iter()
@@ -864,7 +901,7 @@ fn lint(args: &[String]) -> Result<ExitCode, String> {
                 .flat_map(|(_, _, d)| d)
                 .filter(|d| d.severity == Severity::Warn)
                 .count();
-            println!(
+            outln!(
                 "linted {} file(s): {errors} error(s), {warnings} warning(s), {} skipped",
                 per_file.len(),
                 skipped.len()
@@ -904,7 +941,7 @@ fn transform(args: &[String], which: Transform) -> Result<ExitCode, String> {
         Transform::Inline => inlined,
         Transform::Unroll => unroll_twice(&inlined),
     };
-    print!("{}", out.to_source());
+    out!("{}", out.to_source());
     Ok(ExitCode::SUCCESS)
 }
 
@@ -929,9 +966,9 @@ fn graph(args: &[String]) -> Result<ExitCode, String> {
     };
     if want_clg {
         let clg = Clg::build(&sg);
-        print!("{}", dot::clg_dot(&sg, &clg));
+        out!("{}", dot::clg_dot(&sg, &clg));
     } else {
-        print!("{}", dot::sync_graph_dot(&sg));
+        out!("{}", dot::sync_graph_dot(&sg));
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -257,6 +257,34 @@ fn check_runs_the_repo_corpus_with_json_output() {
 }
 
 #[test]
+fn a_closed_stdout_ends_the_output_not_the_command() {
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+    let corpus = corpus.to_str().unwrap();
+    for args in [
+        vec!["check", corpus],
+        vec!["lint", corpus],
+        vec!["analyze", "fixture:fig5d", "--json"],
+    ] {
+        // The reader goes away before the first write.
+        let mut child = Command::new(env!("CARGO_BIN_EXE_iwa"))
+            .args(&args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        // The same status as with stdout open: the corpus has anomalies,
+        // lint denials, and fig5d an oracle stall.
+        let (_, _, code) = iwa(&args);
+        assert_eq!(code, Some(1), "{args:?}");
+        assert_eq!(out.status.code(), code, "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn check_output_is_byte_identical_for_any_job_count() {
     let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
     let corpus = corpus.to_str().unwrap();

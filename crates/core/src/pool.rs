@@ -384,7 +384,7 @@ mod tests {
 
     #[test]
     fn try_map_stats_reports_the_fanout_width() {
-        let (r, stats) = try_map_stats(1, 10, |i| Ok::<usize, ()>(i));
+        let (r, stats) = try_map_stats(1, 10, Ok::<usize, ()>);
         assert_eq!(r.unwrap().len(), 10);
         assert_eq!(
             stats,

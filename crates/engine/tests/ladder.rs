@@ -219,6 +219,32 @@ fn a_one_millisecond_deadline_degrades_promptly_to_the_floor() {
 }
 
 #[test]
+fn a_twenty_process_ring_answers_a_100_ms_deadline_within_a_second() {
+    // 2^20 initial waves: the oracle must trip on its deadline while it
+    // enumerates them, not after building the whole product.
+    use iwa_engine::analyze_model;
+    use iwa_frontend::{registry, Lang};
+    let model = registry::by_lang(Lang::Chan)
+        .load(&iwa_workloads::chan::chan_ring(20, false))
+        .unwrap();
+    let started = std::time::Instant::now();
+    let r = analyze_model(
+        &model,
+        &EngineOptions {
+            deadline: Some(Duration::from_millis(100)),
+            ..EngineOptions::default()
+        },
+    )
+    .unwrap();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "took {took:?}");
+    assert_eq!(r.verdict, EngineVerdict::Anomalous);
+    let oracle = &r.attempts[0];
+    assert_eq!(oracle.rung, Rung::Oracle);
+    assert_eq!(oracle.outcome, "budget-exceeded", "{oracle:?}");
+}
+
+#[test]
 fn a_pre_cancelled_token_still_gets_a_floor_answer() {
     let token = CancelToken::new();
     token.cancel();

@@ -13,7 +13,7 @@
 //!   deadlock (that is Theorem 1, and [`AnomalyReport::taxonomy_complete`]
 //!   checks it on every classified wave).
 
-use crate::wave::Wave;
+use crate::wave::{Wave, DONE};
 use iwa_graphs::BitSet;
 use iwa_syncgraph::SyncGraph;
 
@@ -67,6 +67,84 @@ fn strict_forward(sg: &SyncGraph, n: usize) -> BitSet {
     seen
 }
 
+/// Coupling: `r` is coupled to `s` when some strict control descendant of
+/// `s` (a member of `s_reach`, its [`strict_forward`] set) is a sync
+/// neighbour of `r`.
+fn coupled_to(sg: &SyncGraph, r: usize, s_reach: &BitSet) -> bool {
+    sg.sync_neighbors(r)
+        .iter()
+        .any(|&z| s_reach.contains(z as usize))
+}
+
+/// The deadlock half of [`classify`] for the many stuck waves of one
+/// exploration: does a wave's coupling digraph have a cycle, i.e. is
+/// `classify(sg, wave).deadlock_set` non-empty? Strict-forward sets are
+/// computed once per node and kept, and the test allocates nothing per
+/// wave once its buffers have grown.
+pub(crate) struct DeadlockFilter<'g> {
+    sg: &'g SyncGraph,
+    /// `strict_forward(sg, n)` for every node `n` seen on a tested wave.
+    forward: Vec<Option<BitSet>>,
+    active: Vec<usize>,
+    /// Row-major coupling matrix over `active`.
+    edge: Vec<bool>,
+    in_degree: Vec<usize>,
+    ready: Vec<usize>,
+}
+
+impl<'g> DeadlockFilter<'g> {
+    pub(crate) fn new(sg: &'g SyncGraph) -> DeadlockFilter<'g> {
+        DeadlockFilter {
+            sg,
+            forward: vec![None; sg.control.num_nodes()],
+            active: Vec::new(),
+            edge: Vec::new(),
+            in_degree: Vec::new(),
+            ready: Vec::new(),
+        }
+    }
+
+    /// Does the coupling digraph of `wave` (its slots, [`DONE`] for a
+    /// finished task) contain a cycle?
+    pub(crate) fn has_deadlock(&mut self, wave: &[u32]) -> bool {
+        let sg = self.sg;
+        self.active.clear();
+        self.active
+            .extend(wave.iter().filter(|&&s| s != DONE).map(|&s| s as usize));
+        for &n in &self.active {
+            self.forward[n].get_or_insert_with(|| strict_forward(sg, n));
+        }
+        let k = self.active.len();
+        self.edge.clear();
+        self.in_degree.clear();
+        self.in_degree.resize(k, 0);
+        for &r in &self.active {
+            for (si, &s) in self.active.iter().enumerate() {
+                let s_reach = self.forward[s].as_ref().expect("filled above");
+                let coupled = coupled_to(sg, r, s_reach);
+                self.edge.push(coupled);
+                self.in_degree[si] += usize::from(coupled);
+            }
+        }
+        // Peel nodes nothing points at; a cycle is what never peels.
+        self.ready.clear();
+        self.ready.extend((0..k).filter(|&i| self.in_degree[i] == 0));
+        let mut peeled = 0;
+        while let Some(r) = self.ready.pop() {
+            peeled += 1;
+            for s in 0..k {
+                if self.edge[r * k + s] {
+                    self.in_degree[s] -= 1;
+                    if self.in_degree[s] == 0 {
+                        self.ready.push(s);
+                    }
+                }
+            }
+        }
+        peeled < k
+    }
+}
+
 /// Classify an anomalous wave per the paper's taxonomy.
 ///
 /// Also callable on non-anomalous waves (all vectors come back empty in the
@@ -74,14 +152,15 @@ fn strict_forward(sg: &SyncGraph, n: usize) -> BitSet {
 #[must_use]
 pub fn classify(sg: &SyncGraph, wave: &Wave) -> AnomalyReport {
     let active = wave.active_nodes();
+    let strict: Vec<BitSet> = active.iter().map(|&s| strict_forward(sg, s)).collect();
 
     // Forward-reachable set from the whole wave (including the wave nodes
     // themselves — harmless: a wave node complementary to `r` would make
     // the wave non-anomalous).
     let mut wave_reach = BitSet::new(sg.control.num_nodes());
-    for &n in &active {
+    for (&n, reach) in active.iter().zip(&strict) {
         wave_reach.insert(n);
-        wave_reach.union_with(&strict_forward(sg, n));
+        wave_reach.union_with(reach);
     }
 
     // Stall nodes: no sync neighbour anywhere in the reachable set.
@@ -95,18 +174,6 @@ pub fn classify(sg: &SyncGraph, wave: &Wave) -> AnomalyReport {
         })
         .collect();
 
-    // Coupling: r is coupled to s when some strict control descendant of s
-    // is a sync neighbour of r.
-    let strict: Vec<(usize, BitSet)> = active
-        .iter()
-        .map(|&s| (s, strict_forward(sg, s)))
-        .collect();
-    let coupled_to = |r: usize, s_reach: &BitSet| {
-        sg.sync_neighbors(r)
-            .iter()
-            .any(|&z| s_reach.contains(z as usize))
-    };
-
     // Coupling digraph over the wave: edge r → s when r is coupled to s
     // (some strict control descendant of s can rendezvous with r). A
     // coupling *cycle* is a deadlock (Theorem 1's proof); nodes whose
@@ -114,8 +181,8 @@ pub fn classify(sg: &SyncGraph, wave: &Wave) -> AnomalyReport {
     let k = active.len();
     let mut coupling: iwa_graphs::GraphBuilder<()> = iwa_graphs::GraphBuilder::with_nodes(k);
     for (ri, &r) in active.iter().enumerate() {
-        for (si, (_, s_reach)) in strict.iter().enumerate() {
-            if coupled_to(r, s_reach) {
+        for (si, s_reach) in strict.iter().enumerate() {
+            if coupled_to(sg, r, s_reach) {
                 coupling.add_edge(ri, si, ());
             }
         }

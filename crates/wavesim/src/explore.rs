@@ -6,12 +6,18 @@
 //! exponential blow-up the paper attributes to concurrency-state methods
 //! (\[Tay83a\], §6) and the reason the polynomial algorithms exist. Budgets
 //! make the blow-up observable instead of fatal.
+//!
+//! The BFS allocates nothing per state: each wave is stored once in a flat
+//! `WaveStore` and named by its discovery id, so the queue is a cursor over
+//! ids and a witness parent is an id. Initial waves come from a lazy
+//! `Odometer` that probes the budget once per wave, and a `Stepper` writes
+//! each successor into one scratch wave.
 
-use crate::classify::{classify, AnomalyReport};
+use crate::classify::{classify, AnomalyReport, DeadlockFilter};
 use crate::wave::{Wave, DONE};
 use iwa_core::{Budget, IwaError, TaskId};
 use iwa_syncgraph::{SyncGraph, B, E};
-use std::collections::{HashSet, VecDeque};
+use std::convert::Infallible;
 
 /// Exploration limits.
 #[derive(Clone, Copy, Debug)]
@@ -23,16 +29,17 @@ pub struct ExploreConfig {
     pub max_anomalies: usize,
     /// Record predecessor links so each retained anomaly carries a
     /// [`witness schedule`](Exploration::witnesses) — the rendezvous
-    /// sequence from an initial wave to the stuck one. Costs one map entry
-    /// per visited wave.
+    /// sequence from an initial wave to the stuck one. Costs one parent
+    /// entry per visited wave.
     pub track_witnesses: bool,
     /// Ignore stuck waves whose classification contains **no deadlocked
     /// set** (stall-only anomalies). Models whose tasks are all skippable
     /// by construction — the lock-order frontend's lowering, where every
     /// acquire-site branch may simply not be taken — produce stall-only
     /// waves on every acyclic schedule; in deadlock-only mode those are
-    /// benign and must not count as anomalies. Costs one [`classify`] call
-    /// per stuck wave. Default `false` (the paper's full taxonomy).
+    /// benign and must not count as anomalies. Costs one coupling-cycle
+    /// test per stuck wave; only retained anomalies are fully
+    /// [`classify`]-ed. Default `false` (the paper's full taxonomy).
     pub ignore_stalls: bool,
 }
 
@@ -122,68 +129,196 @@ impl Exploration {
     }
 }
 
+/// Each task's first moves: its rendezvous nodes directly after `b`, plus
+/// [`DONE`] when it may finish without synchronising.
+fn first_moves(sg: &SyncGraph) -> Result<Vec<Vec<u32>>, IwaError> {
+    (0..sg.num_tasks)
+        .map(|t| {
+            let task = TaskId(t as u32);
+            let mut opts: Vec<u32> = sg
+                .control
+                .successors(B)
+                .iter()
+                .map(|&v| v as usize)
+                .filter(|&v| v != E && sg.is_rendezvous(v) && sg.node(v).task == task)
+                .map(|v| v as u32)
+                .collect();
+            if sg.task_skippable(task) || sg.nodes_of_task(task).is_empty() {
+                opts.push(DONE);
+            }
+            if opts.is_empty() {
+                return Err(IwaError::InvalidProgram(format!(
+                    "task {} has rendezvous nodes but none reachable from b",
+                    sg.symbols.task_name(task)
+                )));
+            }
+            Ok(opts)
+        })
+        .collect()
+}
+
+/// The initial waves one at a time: an odometer over each task's first
+/// moves, the last task's digit turning fastest.
+struct Odometer {
+    moves: Vec<Vec<u32>>,
+    digits: Vec<usize>,
+    wave: Vec<u32>,
+    started: bool,
+}
+
+impl Odometer {
+    fn new(sg: &SyncGraph) -> Result<Odometer, IwaError> {
+        let moves = first_moves(sg)?;
+        Ok(Odometer {
+            digits: vec![0; moves.len()],
+            wave: moves.iter().map(|m| m[0]).collect(),
+            moves,
+            started: false,
+        })
+    }
+
+    /// The next initial wave, or `None` once every combination was shown.
+    fn next_wave(&mut self) -> Option<&[u32]> {
+        if self.started {
+            let mut t = self.moves.len();
+            loop {
+                if t == 0 {
+                    return None;
+                }
+                t -= 1;
+                self.digits[t] += 1;
+                if self.digits[t] < self.moves[t].len() {
+                    self.wave[t] = self.moves[t][self.digits[t]];
+                    break;
+                }
+                self.digits[t] = 0;
+                self.wave[t] = self.moves[t][0];
+            }
+        }
+        self.started = true;
+        Some(&self.wave)
+    }
+}
+
 /// The initial waves: every combination of per-task first rendezvous points
 /// (the nondeterministic choice models conditional branches out of `b`),
 /// with [`DONE`] as an extra option for tasks that may finish without
-/// synchronising.
+/// synchronising. The last task's choice varies fastest.
 pub fn initial_waves(sg: &SyncGraph) -> Result<Vec<Wave>, IwaError> {
-    let mut options: Vec<Vec<u32>> = Vec::with_capacity(sg.num_tasks);
-    for t in 0..sg.num_tasks {
-        let task = TaskId(t as u32);
-        let mut opts: Vec<u32> = sg
-            .control
-            .successors(B)
-            .iter()
-            .map(|&v| v as usize)
-            .filter(|&v| v != E && sg.is_rendezvous(v) && sg.node(v).task == task)
-            .map(|v| v as u32)
-            .collect();
-        if sg.task_skippable(task) || sg.nodes_of_task(task).is_empty() {
-            opts.push(DONE);
-        }
-        if opts.is_empty() {
-            return Err(IwaError::InvalidProgram(format!(
-                "task {} has rendezvous nodes but none reachable from b",
-                sg.symbols.task_name(task)
-            )));
-        }
-        options.push(opts);
+    let mut odometer = Odometer::new(sg)?;
+    let mut waves = Vec::new();
+    while let Some(w) = odometer.next_wave() {
+        waves.push(Wave(w.to_vec()));
     }
-    // Cartesian product.
-    let mut waves = vec![Vec::new()];
-    for opts in &options {
-        let mut next = Vec::with_capacity(waves.len() * opts.len());
-        for w in &waves {
-            for &o in opts {
-                let mut w2 = w.clone();
-                w2.push(o);
-                next.push(w2);
-            }
-        }
-        waves = next;
-    }
-    Ok(waves.into_iter().map(Wave).collect())
+    Ok(waves)
 }
 
-/// Successor slots of a rendezvous node: its control successors, with `e`
-/// mapped to [`DONE`].
-fn successor_slots(sg: &SyncGraph, node: usize) -> Vec<u32> {
-    sg.control
-        .successors(node)
-        .iter()
-        .map(|&v| {
-            let v = v as usize;
-            if v == E {
-                DONE
-            } else {
-                debug_assert!(
-                    sg.is_rendezvous(v) && sg.node(v).task == sg.node(node).task,
-                    "control successors stay within the task"
-                );
-                v as u32
+/// The rendezvous step, enumerated without allocating: READY pairs come
+/// from each slot's sync neighbours through a node → task table, and every
+/// successor is written into one scratch wave.
+///
+/// Slot `t` of a wave must hold a node of task `t` (or [`DONE`]), as every
+/// wave built by this crate does.
+pub(crate) struct Stepper<'g> {
+    sg: &'g SyncGraph,
+    /// The task of each node (`u32::MAX` for `b` and `e`).
+    task_of: Vec<u32>,
+    /// READY pairs of the wave last stepped, in `(i, j)` order.
+    pairs: Vec<(u32, u32)>,
+    /// The successor being handed out.
+    next: Vec<u32>,
+}
+
+impl<'g> Stepper<'g> {
+    pub(crate) fn new(sg: &'g SyncGraph) -> Stepper<'g> {
+        let mut task_of = vec![u32::MAX; sg.num_nodes()];
+        for n in sg.rendezvous_nodes() {
+            task_of[n] = sg.node(n).task.0;
+        }
+        Stepper {
+            sg,
+            task_of,
+            pairs: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    /// The READY pairs of `wave`: `(i, j)` with `i < j` whose slots are
+    /// joined by a sync edge, ordered by `i`, then `j`.
+    pub(crate) fn ready_pairs(&mut self, wave: &[u32]) -> &[(u32, u32)] {
+        self.pairs.clear();
+        for (i, &node) in wave.iter().enumerate() {
+            if node == DONE {
+                continue;
             }
-        })
-        .collect()
+            let from = self.pairs.len();
+            for &z in self.sg.sync_neighbors(node as usize) {
+                let j = self.task_of[z as usize] as usize;
+                if j > i && wave.get(j) == Some(&z) {
+                    self.pairs.push((i as u32, j as u32));
+                }
+            }
+            // Neighbours ascend by node, which need not be task order.
+            self.pairs[from..].sort_unstable();
+        }
+        &self.pairs
+    }
+
+    /// Call `f` on every wave one rendezvous away from `wave`, with the
+    /// rendezvous that produced it: READY pairs in order, then the first
+    /// node's successor slots, then the second's. Returns how many
+    /// successors there were.
+    pub(crate) fn for_each_successor<Err>(
+        &mut self,
+        wave: &[u32],
+        mut f: impl FnMut(&[u32], WitnessStep) -> Result<(), Err>,
+    ) -> Result<usize, Err> {
+        let sg = self.sg;
+        self.ready_pairs(wave);
+        let task_of = &self.task_of;
+        // `e` leaves the task done; every other successor stays in the task.
+        let slot = |v: u32, from: usize| {
+            if v as usize == E {
+                return DONE;
+            }
+            debug_assert_eq!(
+                task_of[v as usize], task_of[from],
+                "control successors stay within the task"
+            );
+            v
+        };
+        self.next.clear();
+        self.next.extend_from_slice(wave);
+        let mut count = 0;
+        for &(i, j) in &self.pairs {
+            let (i, j) = (i as usize, j as usize);
+            let step = WitnessStep {
+                a: wave[i] as usize,
+                b: wave[j] as usize,
+            };
+            for &si in sg.control.successors(step.a) {
+                self.next[i] = slot(si, step.a);
+                for &sj in sg.control.successors(step.b) {
+                    self.next[j] = slot(sj, step.b);
+                    count += 1;
+                    f(&self.next, step)?;
+                }
+            }
+            self.next[i] = wave[i];
+            self.next[j] = wave[j];
+        }
+        Ok(count)
+    }
+
+    /// Every successor of `wave`, each with its rendezvous.
+    pub(crate) fn successors(&mut self, wave: &[u32]) -> Vec<(Wave, WitnessStep)> {
+        let mut out = Vec::new();
+        let Ok(_) = self.for_each_successor(wave, |s, step| {
+            out.push((Wave(s.to_vec()), step));
+            Ok::<(), Infallible>(())
+        });
+        out
+    }
 }
 
 /// `NextWaves(W)`: all waves derivable by one rendezvous.
@@ -195,24 +330,86 @@ pub fn next_waves(sg: &SyncGraph, w: &Wave) -> Vec<Wave> {
 /// [`next_waves`] annotated with the rendezvous that produced each wave.
 #[must_use]
 pub fn next_waves_with_steps(sg: &SyncGraph, w: &Wave) -> Vec<(Wave, WitnessStep)> {
-    let mut out = Vec::new();
-    for (i, j) in w.ready_pairs(sg) {
-        let node_i = w.0[i] as usize;
-        let node_j = w.0[j] as usize;
-        let step = WitnessStep {
-            a: node_i,
-            b: node_j,
-        };
-        for &si in &successor_slots(sg, node_i) {
-            for &sj in &successor_slots(sg, node_j) {
-                let mut w2 = w.clone();
-                w2.0[i] = si;
-                w2.0[j] = sj;
-                out.push((w2, step));
+    Stepper::new(sg).successors(&w.0)
+}
+
+/// Marks a free cell of [`WaveStore`]'s table.
+const NO_WAVE: u32 = u32::MAX;
+
+/// Every wave an exploration has seen, each stored once: wave `id` holds
+/// `slots[id * width..][..width]`, ids count up in discovery order, and an
+/// open-addressing table of ids (linear probing, at most half full) finds
+/// a wave by a fixed, seedless hash of its slots.
+struct WaveStore {
+    width: usize,
+    len: usize,
+    slots: Vec<u32>,
+    table: Vec<u32>,
+    /// `64 - log2(table.len())`: a hash's top bits pick its first cell.
+    shift: u32,
+}
+
+impl WaveStore {
+    fn new(width: usize) -> WaveStore {
+        WaveStore {
+            width,
+            len: 0,
+            slots: Vec::new(),
+            table: vec![NO_WAVE; 16],
+            shift: 64 - 4,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn get(&self, id: usize) -> &[u32] {
+        &self.slots[id * self.width..][..self.width]
+    }
+
+    fn hash(wave: &[u32]) -> u64 {
+        wave.iter().fold(0, |h: u64, &s| {
+            (h.rotate_left(5) ^ u64::from(s)).wrapping_mul(0x517c_c1b7_2722_0a95)
+        })
+    }
+
+    /// The free cell for `wave`, or `None` when it is already stored.
+    fn find(&self, wave: &[u32]) -> Option<usize> {
+        let mask = self.table.len() - 1;
+        let mut cell = (Self::hash(wave) >> self.shift) as usize;
+        loop {
+            match self.table[cell] {
+                NO_WAVE => return Some(cell),
+                id if self.get(id as usize) == wave => return None,
+                _ => cell = (cell + 1) & mask,
             }
         }
     }
-    out
+
+    /// Store `wave` under the next id; `false` when it was already stored.
+    fn insert(&mut self, wave: &[u32]) -> bool {
+        if 2 * (self.len + 1) > self.table.len() {
+            self.grow();
+        }
+        let Some(cell) = self.find(wave) else {
+            return false;
+        };
+        assert!(self.len < NO_WAVE as usize, "wave ids stay below u32::MAX");
+        self.table[cell] = self.len as u32;
+        self.slots.extend_from_slice(wave);
+        self.len += 1;
+        true
+    }
+
+    fn grow(&mut self) {
+        self.table = vec![NO_WAVE; 2 * self.table.len()];
+        self.shift -= 1;
+        for id in 0..self.len {
+            let cell = self.find(self.get(id)).expect("stored waves are distinct");
+            self.table[cell] = id as u32;
+        }
+    }
 }
 
 /// Exhaustively explore the reachable wave space.
@@ -236,91 +433,101 @@ pub fn explore(sg: &SyncGraph, config: &ExploreConfig) -> Result<Exploration, Iw
 
 /// [`explore`] under a cooperative [`Budget`].
 ///
-/// Checkpoints once per transition examined, so a wall-clock deadline,
+/// Probes the wall clock once per initial wave and once per wave visited,
+/// and checkpoints once per transition examined, so a wall-clock deadline,
 /// step ceiling, or cancellation stops the BFS mid-flight with
 /// [`IwaError::BudgetExceeded`] carrying partial-progress counters
-/// (`items` = distinct waves visited so far).
+/// (`items` = distinct waves found so far).
 pub fn explore_budgeted(
     sg: &SyncGraph,
     config: &ExploreConfig,
     budget: &Budget,
 ) -> Result<Exploration, IwaError> {
+    const WHAT: &str = "exploring execution waves";
     let started = std::time::Instant::now();
-    let mut visited: HashSet<Wave> = HashSet::new();
-    let mut queue: VecDeque<Wave> = VecDeque::new();
-    // Predecessor links for witness reconstruction: wave → (parent, step).
-    let mut parents: std::collections::HashMap<Wave, (Wave, WitnessStep)> =
-        std::collections::HashMap::new();
-    let mut initial: HashSet<Wave> = HashSet::new();
-    for w in initial_waves(sg)? {
-        if visited.insert(w.clone()) {
-            if config.track_witnesses {
-                initial.insert(w.clone());
-            }
-            queue.push_back(w);
+    let too_many = |transitions: usize, states: usize| IwaError::BudgetExceeded {
+        what: WHAT.into(),
+        limit: config.max_states,
+        steps: transitions as u64,
+        items: states,
+        elapsed_ms: started.elapsed().as_millis().try_into().unwrap_or(u64::MAX),
+        degraded: false,
+    };
+    let mut store = WaveStore::new(sg.num_tasks);
+    let mut odometer = Odometer::new(sg)?;
+    while let Some(w) = odometer.next_wave() {
+        budget.probe(WHAT)?;
+        store.insert(w);
+        if store.len() > config.max_states {
+            return Err(too_many(0, store.len()));
         }
     }
+    // Ids below `initial` are initial waves; wave `id` above them was
+    // first reached from `parents[id - initial]`.
+    let initial = store.len();
+    let mut parents: Vec<(u32, WitnessStep)> = Vec::new();
+    let mut stepper = Stepper::new(sg);
+    let mut deadlocks = config.ignore_stalls.then(|| DeadlockFilter::new(sg));
+    let mut wave = Vec::with_capacity(sg.num_tasks);
     let mut transitions = 0usize;
     let mut can_terminate = false;
     let mut anomalies = Vec::new();
     let mut witnesses = Vec::new();
     let mut anomaly_count = 0usize;
 
-    while let Some(w) = queue.pop_front() {
-        budget.probe("exploring execution waves")?;
-        if visited.len() > config.max_states {
-            return Err(IwaError::BudgetExceeded {
-                what: "exploring execution waves".into(),
-                limit: config.max_states,
-                steps: transitions as u64,
-                items: visited.len(),
-                elapsed_ms: started.elapsed().as_millis().try_into().unwrap_or(u64::MAX),
-                degraded: false,
-            });
+    // The BFS queue is the run of ids not yet visited.
+    let mut id = 0;
+    while id < store.len() {
+        budget.probe(WHAT)?;
+        if store.len() > config.max_states {
+            return Err(too_many(transitions, store.len()));
         }
-        if w.all_done() {
+        wave.clear();
+        wave.extend_from_slice(store.get(id));
+        let from = id as u32;
+        id += 1;
+        if wave.iter().all(|&s| s == DONE) {
             can_terminate = true;
             continue;
         }
-        let succs = next_waves_with_steps(sg, &w);
-        if succs.is_empty() {
-            // No rendezvous can fire and not all tasks are done.
-            if config.ignore_stalls && classify(sg, &w).deadlock_set.is_empty() {
-                // Deadlock-only mode: a stall-only stuck wave is benign.
-                continue;
-            }
-            anomaly_count += 1;
-            if anomalies.len() < config.max_anomalies {
-                let report = classify(sg, &w);
-                if config.track_witnesses {
-                    // Walk the parent chain back to an initial wave.
-                    let mut steps = Vec::new();
-                    let mut cur = w.clone();
-                    while !initial.contains(&cur) {
-                        let (prev, step) = parents
-                            .get(&cur)
-                            .expect("every visited non-initial wave has a parent")
-                            .clone();
-                        steps.push(step);
-                        cur = prev;
-                    }
-                    steps.reverse();
-                    witnesses.push(steps);
-                }
-                anomalies.push((w, report));
-            }
-            continue;
-        }
-        for (s, step) in succs {
-            budget.checkpoint("exploring execution waves")?;
+        let successors = stepper.for_each_successor(&wave, |s, step| {
+            budget.checkpoint(WHAT)?;
             transitions += 1;
-            if visited.insert(s.clone()) {
+            if store.insert(s) {
                 budget.record_items(1);
                 if config.track_witnesses {
-                    parents.insert(s.clone(), (w.clone(), step));
+                    parents.push((from, step));
                 }
-                queue.push_back(s);
             }
+            Ok::<(), IwaError>(())
+        })?;
+        if successors > 0 {
+            continue;
+        }
+        // No rendezvous can fire and not all tasks are done. In
+        // deadlock-only mode a stall-only stuck wave is benign.
+        if let Some(filter) = &mut deadlocks {
+            if !filter.has_deadlock(&wave) {
+                continue;
+            }
+        }
+        anomaly_count += 1;
+        if anomalies.len() < config.max_anomalies {
+            let stuck = Wave(wave.clone());
+            let report = classify(sg, &stuck);
+            if config.track_witnesses {
+                // Walk the parent chain back to an initial wave.
+                let mut steps = Vec::new();
+                let mut cur = from as usize;
+                while cur >= initial {
+                    let (prev, step) = parents[cur - initial];
+                    steps.push(step);
+                    cur = prev as usize;
+                }
+                steps.reverse();
+                witnesses.push(steps);
+            }
+            anomalies.push((stuck, report));
         }
     }
 
@@ -330,7 +537,7 @@ pub fn explore_budgeted(
         } else {
             Verdict::Anomalous
         },
-        states: visited.len(),
+        states: store.len(),
         transitions,
         can_terminate,
         anomalies,
@@ -529,6 +736,15 @@ mod tests {
     fn self_send_is_detected_as_anomalous() {
         let e = explore_src("task t { send t.m; accept m; }");
         assert_eq!(e.verdict, Verdict::Anomalous);
+        // The send is coupled to itself: a one-node cycle, so deadlock-only
+        // mode keeps it.
+        let p = parse("task t { send t.m; accept m; }").unwrap();
+        let sg = SyncGraph::from_program(&p);
+        let config = ExploreConfig {
+            ignore_stalls: true,
+            ..ExploreConfig::default()
+        };
+        assert_eq!(explore(&sg, &config).unwrap().anomaly_count, 1);
     }
 
     #[test]

@@ -461,7 +461,7 @@ mod tests {
             5,
         );
         let lens: Vec<usize> = rs.iter().map(|r| r.fired.len()).collect();
-        assert!(lens.iter().any(|&l| l == 0), "immediate exits happen");
+        assert!(lens.contains(&0), "immediate exits happen");
         assert!(lens.iter().any(|&l| l >= 4), "multi-iteration runs happen");
     }
 

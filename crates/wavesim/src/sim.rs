@@ -6,7 +6,7 @@
 //! anomaly-hunting fuzzer for large programs where exhaustive exploration
 //! is out of reach.
 
-use crate::explore::{initial_waves, next_waves};
+use crate::explore::{initial_waves, Stepper};
 use crate::wave::{Wave, DONE};
 use iwa_core::{IwaError, Rendezvous, TaskId};
 use iwa_syncgraph::SyncGraph;
@@ -74,6 +74,7 @@ pub fn simulate(
         .clone();
     let mut executed: Vec<Vec<usize>> = vec![Vec::new(); sg.num_tasks];
     let mut steps = 0usize;
+    let mut stepper = Stepper::new(sg);
 
     loop {
         if wave.all_done() {
@@ -92,7 +93,7 @@ pub fn simulate(
                 executed,
             });
         }
-        let succs = next_waves(sg, &wave);
+        let succs = stepper.successors(&wave.0);
         if succs.is_empty() {
             return Ok(Trace {
                 outcome: SimOutcome::Anomalous,
@@ -101,7 +102,7 @@ pub fn simulate(
                 executed,
             });
         }
-        let next = succs.choose(rng).expect("nonempty").clone();
+        let (next, _) = succs.choose(rng).expect("nonempty").clone();
         // Record which tasks moved (their previous slots executed).
         for t in 0..sg.num_tasks {
             let task = TaskId(t as u32);

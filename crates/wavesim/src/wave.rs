@@ -1,5 +1,6 @@
 //! Execution waves.
 
+use crate::explore::Stepper;
 use iwa_core::TaskId;
 use iwa_syncgraph::SyncGraph;
 
@@ -7,7 +8,7 @@ use iwa_syncgraph::SyncGraph;
 pub const DONE: u32 = u32::MAX;
 
 /// An execution wave: one slot per task, holding the sync-graph node the
-/// task is poised to execute, or [`DONE`].
+/// task is poised to execute (a node of that task), or [`DONE`].
 ///
 /// The paper's `W[u]` may also be `b`, but since every task is activated at
 /// program start, the initial waves here already hold each task's first
@@ -46,25 +47,14 @@ impl Wave {
     }
 
     /// All READY pairs: `(task_i, task_j)` with `i < j` whose slots are
-    /// joined by a sync edge.
+    /// joined by a sync edge, ordered by `i`, then `j`.
     #[must_use]
     pub fn ready_pairs(&self, sg: &SyncGraph) -> Vec<(usize, usize)> {
-        let n = self.0.len();
-        let mut pairs = Vec::new();
-        for i in 0..n {
-            if self.0[i] == DONE {
-                continue;
-            }
-            for j in (i + 1)..n {
-                if self.0[j] == DONE {
-                    continue;
-                }
-                if sg.has_sync_edge(self.0[i] as usize, self.0[j] as usize) {
-                    pairs.push((i, j));
-                }
-            }
-        }
-        pairs
+        Stepper::new(sg)
+            .ready_pairs(&self.0)
+            .iter()
+            .map(|&(i, j)| (i as usize, j as usize))
+            .collect()
     }
 
     /// Is this wave **anomalous** (paper §2): at least one task still at a

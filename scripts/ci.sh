@@ -17,8 +17,8 @@ echo "==> benchmark tests: known answers, same-seed determinism, metric listing"
 # a known answer fail CI, not only a benchmark run.
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> multi-job determinism: iwa check corpus -j 1/2/8 agree byte-for-byte"
 # A step budget (not a wall-clock one) keeps trip-vs-complete independent
