@@ -144,6 +144,22 @@ for f in corpus/*.iwa corpus/locks/*.lok corpus/channels/*.chan; do
 done
 echo "$checked corpus files answered as their headers expect"
 
+echo "==> graph goldens: iwa graph and iwa graph --clg on every fixture and corpus file"
+# Each input's DOT under a `// <input>` header, diffed byte-for-byte
+# against tests/golden/graph_sync.dot and tests/golden/graph_clg.dot. To
+# regenerate a golden after an intended change, send the loop's output to
+# the golden file instead of the temp file.
+for flag in "" --clg; do
+    golden=tests/golden/graph_sync.dot
+    [ -z "$flag" ] || golden=tests/golden/graph_clg.dot
+    for spec in $(./target/release/iwa fixtures | cut -d' ' -f1) \
+        corpus/*.iwa corpus/lints/*.iwa corpus/locks/*.lok corpus/channels/*.chan; do
+        echo "// $spec"
+        ./target/release/iwa graph "$spec" $flag
+    done > "$tmpdir/graph.dot"
+    diff "$golden" "$tmpdir/graph.dot"
+done
+
 echo "==> serve smoke: the daemon routes .lok and .chan requests through their frontends"
 cargo test -q -p iwa-serve --test serve lok_requests_route_through_the_lock_frontend
 cargo test -q -p iwa-serve --test serve chan_requests_route_through_the_channel_frontend
