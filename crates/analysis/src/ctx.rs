@@ -55,7 +55,7 @@ use crate::sequence::SequenceInfo;
 use crate::stall::{StallOptions, StallReport};
 use iwa_core::obs::{Counters, Metrics, SpanGuard, TraceSink};
 use iwa_core::{Budget, CancelToken, IwaError};
-use iwa_syncgraph::{Clg, SyncGraph};
+use iwa_syncgraph::{PortClg, SyncGraph};
 use iwa_tasklang::Program;
 
 /// The execution environment shared by every analysis entry point: a
@@ -238,12 +238,13 @@ impl AnalysisCtx {
     }
 
     /// [`refined`](AnalysisCtx::refined) with precomputed supporting
-    /// tables (CLG, `SEQUENCEABLE`, `NOT-COEXEC`) — for callers that
+    /// tables (the CLG, `SEQUENCEABLE`, `NOT-COEXEC`) — for callers that
     /// amortise the tables across many runs, like the ablation studies.
+    /// The search reads `clg` as given and builds no graph of its own.
     pub fn refined_with(
         &self,
         sg: &SyncGraph,
-        clg: &Clg,
+        clg: &PortClg,
         seq: &SequenceInfo,
         cx: &CoexecInfo,
         opts: &RefinedOptions,

@@ -22,7 +22,7 @@ use crate::ctx::AnalysisCtx;
 use crate::sequence::{FinishOrder, SequenceInfo};
 use iwa_core::obs::Counters;
 use iwa_core::{Budget, IwaError};
-use iwa_syncgraph::{Clg, ClgEdge, SyncGraph};
+use iwa_syncgraph::{PortClg, SyncGraph};
 
 /// Which ordering relation constraint 3a should use (see
 /// [`SequenceInfo`] for why there are two; [`FinishOrder`] holds the
@@ -175,7 +175,7 @@ pub(crate) fn exact_impl(
 ) -> Result<ExactResult, IwaError> {
     let wallclock = ctx.budget();
     let span = ctx.span("analysis", "exact cycles");
-    let clg = Clg::build(sg);
+    let clg = PortClg::build(sg);
     let seq = constraints.c3a.map(|_| SequenceInfo::compute(sg));
     let finish = match (constraints.c3a, &seq) {
         (Some(SeqRelation::FinishBeforeStart), Some(seq)) => Some(FinishOrder::compute(sg, seq)),
@@ -209,8 +209,9 @@ pub(crate) fn exact_impl(
     };
     let n = clg.num_nodes();
     // Roots 0/1 are b/e, which no cycle can touch (b has no in-edges, e no
-    // out-edges).
-    for root in 2..n {
+    // out-edges). The walk is over the paper's CLG: ports are looked
+    // through, never roots.
+    for root in (2..n).filter(|&r| !clg.is_port(r)) {
         if search.truncated {
             break;
         }
@@ -218,7 +219,10 @@ pub(crate) fn exact_impl(
         // both reachable from root and reach root back, within the >= root
         // subgraph. Restricting the DFS to that set prevents the walk from
         // enumerating the (potentially astronomical) simple paths that can
-        // never close.
+        // never close. Each port's index exceeds that of the paper node it
+        // hangs off (`r_so = r_o + 2`, `s_si = s_i + 2`), so a paper edge
+        // between nodes >= root expands to a port path that stays >= root:
+        // the `_o`/`_i` members of the set are exactly the paper CLG's.
         let fwd = clg
             .graph
             .reachable_from_filtered(root, |_, v, _| v >= root);
@@ -276,7 +280,7 @@ pub(crate) fn exact_impl(
 /// path node reached that way is a head.
 struct Search<'a> {
     sg: &'a SyncGraph,
-    clg: &'a Clg,
+    clg: &'a PortClg,
     constraints: &'a ConstraintSet,
     seq: Option<&'a SequenceInfo>,
     /// Built only for [`SeqRelation::FinishBeforeStart`].
@@ -295,7 +299,7 @@ struct Search<'a> {
     /// Nodes eligible for the current root's search (on some cycle through
     /// the root).
     allowed: iwa_graphs::BitSet,
-    /// CLG nodes on the current path.
+    /// Paper-CLG nodes on the current path.
     path: Vec<usize>,
     /// Heads (sync-graph nodes) accumulated along the path.
     heads: Vec<usize>,
@@ -347,14 +351,11 @@ impl Search<'_> {
         if self.truncated {
             return;
         }
-        for idx in 0..self.clg.graph.out_degree(u) {
+        let clg = self.clg;
+        for v in clg.clg_successors(u) {
             if self.truncated {
                 return;
             }
-            let (v, kind) = {
-                let v = self.clg.graph.successors(u)[idx];
-                (v as usize, self.clg.graph.successor_labels(u)[idx])
-            };
             self.steps += 1;
             if self.steps >= self.budget.max_steps {
                 self.truncated = true;
@@ -371,8 +372,8 @@ impl Search<'_> {
             if v == root {
                 // Closing edge: a sync entry into the root makes the root
                 // itself a head, which must pass the pairwise checks too.
-                let closes_as_head = kind == ClgEdge::Sync && self.clg.is_in_node(root);
-                let root_sync = self.clg.sync_node_of(root);
+                let closes_as_head = clg.is_sync_edge(u, root);
+                let root_sync = clg.sync_node_of(root);
                 if closes_as_head && !self.head_ok(root_sync) {
                     continue;
                 }
@@ -386,7 +387,7 @@ impl Search<'_> {
                 let mut nodes: Vec<usize> = self
                     .path
                     .iter()
-                    .map(|&c| self.clg.sync_node_of(c))
+                    .map(|&c| clg.sync_node_of(c))
                     .filter(|&n| self.sg.is_rendezvous(n))
                     .collect();
                 nodes.sort_unstable();
@@ -406,8 +407,8 @@ impl Search<'_> {
                 continue;
             }
             // Incremental constraint checks for the new node.
-            let v_sync = self.clg.sync_node_of(v);
-            let is_new_head = kind == ClgEdge::Sync && self.clg.is_in_node(v);
+            let v_sync = clg.sync_node_of(v);
+            let is_new_head = clg.is_sync_edge(u, v);
             if is_new_head && !self.head_ok(v_sync) {
                 continue;
             }

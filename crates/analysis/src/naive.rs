@@ -16,7 +16,7 @@
 //! automatically.
 
 use iwa_graphs::Scc;
-use iwa_syncgraph::{Clg, SyncGraph, B};
+use iwa_syncgraph::{PortClg, SyncGraph, B};
 
 /// Outcome of the naive analysis.
 #[derive(Clone, Debug)]
@@ -43,7 +43,10 @@ pub struct NaiveResult {
 /// ```
 #[must_use]
 pub fn naive_analysis(sg: &SyncGraph) -> NaiveResult {
-    let clg = Clg::build(sg);
+    // A port sits on a cycle only together with the `r_o`/`r_i` node it
+    // hangs off, so the port CLG's components name the same sync-graph
+    // nodes as the paper's CLG's.
+    let clg = PortClg::build(sg);
     let reachable = clg.graph.reachable_from(B);
     let scc = Scc::compute(&clg.graph, Some(&reachable));
     let mut cycle_components = Vec::new();

@@ -43,7 +43,7 @@ use crate::sequence::{FinishOrder, SequenceInfo};
 use iwa_core::obs::Counters;
 use iwa_core::{pool, IwaError};
 use iwa_graphs::{BitSet, Scc};
-use iwa_syncgraph::{Clg, PortClg, SyncGraph};
+use iwa_syncgraph::{PortClg, SyncGraph};
 
 /// Which accuracy/cost point of the paper's spectrum to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -166,7 +166,7 @@ pub(crate) fn refined_impl(
 ) -> Result<RefinedResult, IwaError> {
     let clg = {
         let _span = ctx.span("analysis", "clg");
-        Clg::build(sg)
+        PortClg::build(sg)
     };
     let seq = {
         let _span = ctx.span("analysis", "sequence");
@@ -202,7 +202,7 @@ type HeadOutcome = (usize, Option<FlaggedHead>, Counters);
 /// ceiling exact across workers (clones share counters).
 pub(crate) fn refined_with_impl(
     sg: &SyncGraph,
-    clg: &Clg,
+    pg: &PortClg,
     seq: &SequenceInfo,
     cx: &CoexecInfo,
     seeds: Option<&[usize]>,
@@ -234,17 +234,13 @@ pub(crate) fn refined_with_impl(
 
     // The shared decomposition every head hypothesis is checked against:
     // one full SCC pass over the port-expanded CLG, computed once.
-    let pg = {
-        let _span = ctx.span("analysis", "port clg");
-        PortClg::build(sg)
-    };
     let full = {
         let _span = ctx.span("analysis", "shared scc");
         Scc::compute(&pg.graph, None)
     };
     let search = Search {
         sg,
-        pg: &pg,
+        pg,
         full: &full,
         seq,
         finish: finish.as_ref(),
@@ -268,8 +264,8 @@ pub(crate) fn refined_with_impl(
     let mut runs = 1usize; // the shared full pass
     let mut flagged = Vec::new();
     let mut delta = Counters {
-        clg_nodes: clg.num_nodes() as u64,
-        clg_edges: clg.graph.num_edges() as u64,
+        clg_nodes: pg.clg_nodes() as u64,
+        clg_edges: pg.clg_edges() as u64,
         constraint4_rescues: rescued.len() as u64,
         pool_tasks: pool_stats.tasks,
         scc_runs: 1,
@@ -873,11 +869,15 @@ mod tests {
                 ..RefinedOptions::default()
             },
         );
-        // Hmm: g's send gate is initial and unconditionally fires with
-        // w_task's accept… the rescue chain is subtler; what must hold is
-        // simply that the analysis stays SAFE (the program may or may not
-        // deadlock — check against the oracle instead of hard-coding).
-        let _ = r;
+        // Figure 3 itself is certified under the same options; here w's
+        // send sits behind `accept gate`, so it rescues nothing.
+        assert!(!r.deadlock_free, "an unready rescuer must not certify");
+        let t = sg.node_by_label("t").unwrap();
+        assert!(
+            r.flagged.iter().any(|f| f.head == t),
+            "t keeps its head hypothesis: {:?}",
+            r.flagged
+        );
     }
 
     #[test]

@@ -325,7 +325,7 @@ fn e9_scaling(ctx: &Ctx) -> Table {
             let seq_d = median_time(3, || SequenceInfo::compute(&sg));
             // The search proper (the paper's O(N·(N+E)) claim), with the
             // supporting tables precomputed.
-            let clg = iwa_syncgraph::Clg::build(&sg);
+            let clg = iwa_syncgraph::PortClg::build(&sg);
             let seq = SequenceInfo::compute(&sg);
             let cx = iwa_analysis::CoexecInfo::compute(&sg);
             let search_d = median_time(3, || {

@@ -26,7 +26,7 @@ use iwa_engine::{
 use iwa_frontend::{registry as frontends, Lang, LoadedModel};
 use iwa_lint::render::{render_diagnostic, render_diagnostics, render_parse_error};
 use iwa_lint::{lint_model, registry, registry_for, Diagnostic, LintConfig, Severity};
-use iwa_syncgraph::{dot, Clg, SyncGraph};
+use iwa_syncgraph::{dot, PortClg, SyncGraph};
 use iwa_tasklang::transforms::{inline_procs, unroll_twice};
 use serde::Serialize;
 use std::io::{ErrorKind, Write};
@@ -965,8 +965,7 @@ fn graph(args: &[String]) -> Result<ExitCode, String> {
         None => model.sync_graph(),
     };
     if want_clg {
-        let clg = Clg::build(&sg);
-        out!("{}", dot::clg_dot(&sg, &clg));
+        out!("{}", dot::clg_dot(&sg, &PortClg::build(&sg)));
     } else {
         out!("{}", dot::sync_graph_dot(&sg));
     }

@@ -130,7 +130,7 @@ fn a_one_ms_deadline_yields_a_labelled_degraded_verdict() {
     let path = dir.join("adversarial.iwa");
     std::fs::write(
         &path,
-        iwa_workloads::adversarial::deep_loop_nest(4, 2).to_source(),
+        iwa_workloads::adversarial::deep_loop_nest(8, 2).to_source(),
     )
     .unwrap();
     let (out, err, code) = iwa(&["analyze", path.to_str().unwrap(), "--deadline-ms", "1"]);

@@ -6,8 +6,7 @@
 //! crate implements the needed substrate directly:
 //!
 //! * [`Csr`] / [`GraphBuilder`] — a compressed-sparse-row directed graph
-//!   with typed edge labels (the CLG tags its edges
-//!   `Internal`/`Control`/`Sync`), built once from a flat edge arena and
+//!   with optional typed edge labels, built once from a flat edge arena and
 //!   immutable thereafter;
 //! * [`GraphView`] — the minimal read-only adjacency trait every algorithm
 //!   is written against, so alternative representations (test references,
@@ -20,16 +19,13 @@
 //!   `Option<&BitSet>` node mask (the per-head incremental restriction of
 //!   the refined algorithm);
 //! * [`dominators`] — Cooper–Harvey–Kennedy dominator trees;
-//! * [`topo`] — Kahn topological sort / acyclicity;
-//! * [`cycles`] — budget-bounded simple-cycle enumeration (Johnson-style),
-//!   used only by the *exact* exponential checker.
+//! * [`topo`] — Kahn topological sort / acyclicity.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitset;
 pub mod csr;
-pub mod cycles;
 pub mod dfs;
 pub mod dominators;
 pub mod scc;

@@ -1,8 +1,8 @@
 //! The [`GraphView`] abstraction all graph algorithms are written against.
 //!
-//! The workspace's algorithms (Tarjan SCC, DFS, Kahn, dominators, cycle
-//! enumeration) only ever need adjacency *slices* — they never mutate and
-//! never read edge labels. Writing them against this minimal trait lets the
+//! The workspace's algorithms (Tarjan SCC, DFS, Kahn, dominators) only
+//! ever need adjacency *slices* — they never mutate and never read edge
+//! labels. Writing them against this minimal trait lets the
 //! CSR representation ([`crate::Csr`]) and any test-local reference
 //! representation (e.g. a plain adjacency list used by the equivalence
 //! proptests) share one implementation, and kept both representations
@@ -15,8 +15,7 @@
 /// Adjacency order is part of the contract: `successors(u)` must yield
 /// targets in a stable, representation-independent order (insertion order of
 /// the edges), because DFS visit order — and therefore SCC component
-/// numbering, cycle enumeration order, and every downstream byte-pinned
-/// report — depends on it.
+/// numbering and every downstream byte-pinned report — depends on it.
 pub trait GraphView {
     /// Number of nodes (node ids are `0..num_nodes`).
     fn num_nodes(&self) -> usize;

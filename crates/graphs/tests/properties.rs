@@ -5,11 +5,10 @@
 //! [`AdjGraph`] below reimplements the pre-redesign `DiGraph` storage
 //! (per-node `Vec` push order on both adjacency sides) as a test-local
 //! [`GraphView`]. Every algorithm result — SCC component numbering and
-//! member order, condensation edges, cycle enumeration, dominators, topo
-//! order — must be *byte-identical* between the two representations on
-//! random digraphs, because downstream reports are pinned to these orders.
+//! member order, condensation edges, dominators, topo order — must be
+//! *byte-identical* between the two representations on random digraphs,
+//! because downstream reports are pinned to these orders.
 
-use iwa_graphs::cycles::{enumerate_cycles, CycleBudget};
 use iwa_graphs::dfs::has_cycle_from;
 use iwa_graphs::topo::{is_acyclic, topological_sort};
 use iwa_graphs::{BitSet, Csr, Dominators, GraphView, Scc};
@@ -156,42 +155,6 @@ proptest! {
         }
     }
 
-    /// Every enumerated cycle is simple and its edges exist; count agrees
-    /// with acyclicity.
-    #[test]
-    fn cycles_are_simple_and_complete(input in arb_edges(8)) {
-        let (n, edges) = input;
-        let g = Csr::from_edges(n, &edges);
-        let e = enumerate_cycles(&g, 1 << 16, 1 << 20);
-        prop_assert_eq!(e.budget, CycleBudget::Complete);
-        prop_assert_eq!(e.cycles.is_empty(), is_acyclic(&g));
-        for cycle in &e.cycles {
-            let mut sorted = cycle.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            prop_assert_eq!(sorted.len(), cycle.len());
-            for w in cycle.windows(2) {
-                prop_assert!(g.has_edge(w[0], w[1]));
-            }
-            prop_assert!(g.has_edge(*cycle.last().unwrap(), cycle[0]));
-        }
-    }
-
-    /// No duplicate cycles are emitted (set of node-sets with rotation
-    /// canonicalisation must be unique).
-    #[test]
-    fn cycles_are_unique(input in arb_edges(7)) {
-        let (n, edges) = input;
-        let g = Csr::from_edges(n, &edges);
-        let e = enumerate_cycles(&g, 1 << 16, 1 << 20);
-        prop_assert_eq!(e.budget, CycleBudget::Complete);
-        let mut canon: Vec<Vec<usize>> = e.cycles.to_vec();
-        let before = canon.len();
-        canon.sort();
-        canon.dedup();
-        prop_assert_eq!(canon.len(), before);
-    }
-
     // ---- CSR vs legacy-adjacency-list equivalence (PR-7 redesign gate) ----
 
     /// Adjacency slices agree edge-for-edge, in order, on both sides.
@@ -237,18 +200,6 @@ proptest! {
         let be: Vec<(usize, usize)> = b.edges().map(|(u, v, ())| (u, v)).collect();
         prop_assert_eq!(ae, be);
         prop_assert_eq!(a.num_nodes(), b.num_nodes());
-    }
-
-    /// Cycle enumeration emits the same cycles in the same order.
-    #[test]
-    fn csr_cycles_identical(input in arb_edges(8)) {
-        let (n, edges) = input;
-        let (csr, adj) = both(n, &edges);
-        let a = enumerate_cycles(&csr, 1 << 16, 1 << 20);
-        let b = enumerate_cycles(&adj, 1 << 16, 1 << 20);
-        prop_assert_eq!(a.budget, b.budget);
-        prop_assert_eq!(a.steps, b.steps);
-        prop_assert_eq!(a.cycles, b.cycles);
     }
 
     /// Dominator tables agree node-for-node.

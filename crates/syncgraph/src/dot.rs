@@ -2,8 +2,8 @@
 //! `iwa graph` subcommand and handy when eyeballing fixtures against the
 //! paper's figures.
 
-use crate::clg::{Clg, ClgEdge};
 use crate::graph::{SyncGraph, B, E};
+use crate::ports::PortClg;
 use std::fmt::Write as _;
 
 /// Render a sync graph: solid arrows = control edges, dashed lines = sync
@@ -56,9 +56,10 @@ pub fn sync_graph_dot(sg: &SyncGraph) -> String {
     out
 }
 
-/// Render a CLG with its three edge kinds distinguished.
+/// Render the paper's CLG, its ports looked through, with its three edge
+/// kinds distinguished.
 #[must_use]
-pub fn clg_dot(sg: &SyncGraph, clg: &Clg) -> String {
+pub fn clg_dot(sg: &SyncGraph, clg: &PortClg) -> String {
     let mut out = String::from("digraph clg {\n  rankdir=TB;\n");
     let name = |c: usize| -> String {
         match c {
@@ -79,13 +80,17 @@ pub fn clg_dot(sg: &SyncGraph, clg: &Clg) -> String {
             }
         }
     };
-    for (u, v, kind) in clg.graph.edges() {
-        let style = match kind {
-            ClgEdge::Internal => " [style=dotted]",
-            ClgEdge::Control => "",
-            ClgEdge::Sync => " [style=dashed,color=blue]",
-        };
-        let _ = writeln!(out, "  {} -> {}{};", name(u), name(v), style);
+    for u in (0..clg.num_nodes()).filter(|&u| !clg.is_port(u)) {
+        for v in clg.clg_successors(u) {
+            let style = if clg.is_sync_edge(u, v) {
+                " [style=dashed,color=blue]"
+            } else if clg.is_in_node(v) {
+                " [style=dotted]"
+            } else {
+                ""
+            };
+            let _ = writeln!(out, "  {} -> {}{};", name(u), name(v), style);
+        }
     }
     out.push_str("}\n");
     out
@@ -105,7 +110,7 @@ mod tests {
         assert!(dot.contains("cluster_0"));
         assert!(dot.contains("r: b.m+"));
         assert!(dot.contains("style=dashed"));
-        let clg = Clg::build(&sg);
+        let clg = PortClg::build(&sg);
         let cdot = clg_dot(&sg, &clg);
         assert!(cdot.contains("digraph clg"));
         assert!(cdot.contains("r_o"));

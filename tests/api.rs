@@ -2,7 +2,7 @@
 //! through the `iwa` umbrella crate exactly as a downstream user would.
 
 use iwa::analysis::{AnalysisCtx, CertifyOptions, RefinedOptions, Tier};
-use iwa::syncgraph::{Clg, SyncGraph};
+use iwa::syncgraph::{PortClg, SyncGraph};
 use iwa::tasklang::{parse, ProgramBuilder};
 use iwa::wavesim::{explore, simulate, ExploreConfig};
 use rand::rngs::StdRng;
@@ -48,8 +48,10 @@ fn graphs_expose_the_paper_structures() {
     let sg = SyncGraph::from_program(&p);
     assert_eq!(sg.num_rendezvous(), 2);
     assert_eq!(sg.num_sync_edges(), 1);
-    let clg = Clg::build(&sg);
-    assert_eq!(clg.num_nodes(), 2 + 2 * 2);
+    let clg = PortClg::build(&sg);
+    assert_eq!(clg.clg_nodes(), 2 + 2 * 2);
+    assert_eq!(clg.clg_edges(), 2 + sg.control.num_edges() + 2);
+    assert_eq!(clg.num_nodes(), 2 + 4 * 2);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Structural properties of the representations, fuzzed:
 //! parser/printer round-trips, sync-graph invariants, CLG shape laws.
 
-use iwa::syncgraph::{Clg, ClgEdge, SyncGraph, B, E};
+use iwa::syncgraph::{PortClg, SyncGraph, B, E};
 use iwa::tasklang::parse;
 use iwa::workloads::{random_structured, StructuredConfig};
 use proptest::prelude::*;
@@ -74,57 +74,69 @@ proptest! {
         }
     }
 
-    /// CLG shape laws: node/edge counts, edge-direction discipline, and
-    /// acyclicity ⇔ naive certification.
+    /// CLG shape laws: the paper's node/edge counts, the port stubs,
+    /// edge-direction discipline, and acyclicity ⇔ naive certification.
     #[test]
     fn clg_shape_laws(seed in 0u64..1_000_000) {
         let p = arb_program(seed);
         let sg = SyncGraph::from_program(&p);
-        let clg = Clg::build(&sg);
+        let clg = PortClg::build(&sg);
 
-        prop_assert_eq!(clg.num_nodes(), 2 + 2 * sg.num_rendezvous());
-        let expected_edges =
-            sg.num_rendezvous() + sg.control.num_edges() + 2 * sg.num_sync_edges();
-        prop_assert_eq!(clg.graph.num_edges(), expected_edges);
+        let nrv = sg.num_rendezvous();
+        let expected_edges = nrv + sg.control.num_edges() + 2 * sg.num_sync_edges();
+        prop_assert_eq!(clg.clg_nodes(), 2 + 2 * nrv);
+        prop_assert_eq!(clg.clg_edges(), expected_edges);
+        prop_assert_eq!(clg.num_nodes(), 2 + 4 * nrv);
+        prop_assert_eq!(clg.graph.num_edges(), expected_edges + 2 * nrv);
 
-        for (u, v, kind) in clg.graph.edges() {
-            match kind {
-                ClgEdge::Internal => {
-                    prop_assert!(!clg.is_in_node(u) && clg.is_in_node(v));
-                    prop_assert_eq!(clg.sync_node_of(u), clg.sync_node_of(v));
-                }
-                ClgEdge::Sync => {
+        // Each port hangs off one node: `r_so` is entered only from `r_o`,
+        // `r_si` leaves only for `r_i`.
+        for r in sg.rendezvous_nodes() {
+            prop_assert_eq!(
+                clg.graph.predecessors(clg.sync_out_port(r)),
+                &[clg.out_node(r) as u32][..]
+            );
+            prop_assert_eq!(
+                clg.graph.successors(clg.sync_in_port(r)),
+                &[clg.in_node(r) as u32][..]
+            );
+        }
+
+        let mut paper_edges = 0;
+        for u in (0..clg.num_nodes()).filter(|&u| !clg.is_port(u)) {
+            for v in clg.clg_successors(u) {
+                paper_edges += 1;
+                prop_assert!(!clg.is_port(v));
+                if clg.is_sync_edge(u, v) {
                     // Sync edges leave _o nodes and enter _i nodes of a
                     // *different* sync node.
-                    prop_assert!(u >= 2 && v >= 2);
-                    prop_assert!(!clg.is_in_node(u) && clg.is_in_node(v));
-                    prop_assert!(clg.sync_node_of(u) != clg.sync_node_of(v));
+                    prop_assert!(u >= 2 && !clg.is_in_node(u));
                     prop_assert!(sg.has_sync_edge(
                         clg.sync_node_of(u),
                         clg.sync_node_of(v)
                     ));
-                }
-                ClgEdge::Control => {
-                    if u >= 2 {
-                        prop_assert!(clg.is_in_node(u));
-                    }
-                    if v >= 2 {
-                        prop_assert!(!clg.is_in_node(v));
-                    }
+                } else if clg.is_in_node(v) {
+                    // The internal edge r_o → r_i.
+                    prop_assert!(!clg.is_in_node(u));
+                    prop_assert_eq!(clg.sync_node_of(u), clg.sync_node_of(v));
+                } else {
+                    // Control edges leave b or an _i node and enter an _o
+                    // node or e.
+                    prop_assert!(u == B || clg.is_in_node(u));
+                    prop_assert!(v != B);
                 }
             }
         }
+        prop_assert_eq!(paper_edges, expected_edges);
 
         // Naive verdict == CLG acyclicity from b (its definition), which
         // for loop-free programs is also implied acyclic control.
         let naive = iwa::analysis::naive_analysis(&sg);
         let reachable = clg.graph.reachable_from(B);
+        let scc = iwa::graphs::Scc::compute(&clg.graph, None);
         let has_cycle = reachable
             .iter()
-            .any(|n| {
-                let scc = iwa::graphs::Scc::compute(&clg.graph, None);
-                scc.in_nontrivial_component(&clg.graph, n)
-            });
+            .any(|n| scc.in_nontrivial_component(&clg.graph, n));
         prop_assert_eq!(naive.deadlock_free, !has_cycle);
     }
 
@@ -175,7 +187,8 @@ fn degenerate_programs_build_clean_graphs() {
     let sg = SyncGraph::from_program(&p);
     assert_eq!(sg.num_rendezvous(), 2);
     assert!(sg.control.has_edge(B, E), "rendezvous-free paths give b→e");
-    let clg = Clg::build(&sg);
-    assert_eq!(clg.num_nodes(), 6);
+    let clg = PortClg::build(&sg);
+    assert_eq!(clg.clg_nodes(), 6);
+    assert_eq!(clg.num_nodes(), 10);
     assert!(iwa::analysis::naive_analysis(&sg).deadlock_free);
 }
