@@ -57,27 +57,27 @@ pub fn sync_graph_dot(sg: &SyncGraph) -> String {
 }
 
 /// Render the paper's CLG, its ports looked through, with its three edge
-/// kinds distinguished.
+/// kinds distinguished. Nodes are named by index (`n{r}_o`, `n{r}_i`, as
+/// [`sync_graph_dot`] names `n{r}`) and labelled with the rendezvous
+/// label, so rendezvous that share a label stay apart.
 #[must_use]
 pub fn clg_dot(sg: &SyncGraph, clg: &PortClg) -> String {
     let mut out = String::from("digraph clg {\n  rankdir=TB;\n");
+    for r in sg.rendezvous_nodes() {
+        let base = sg
+            .node(r)
+            .label
+            .clone()
+            .unwrap_or_else(|| format!("n{r}"));
+        let _ = writeln!(out, "  n{r}_o [label=\"{base}_o\"];");
+        let _ = writeln!(out, "  n{r}_i [label=\"{base}_i\"];");
+    }
     let name = |c: usize| -> String {
         match c {
             B => "b".into(),
             E => "e".into(),
-            c => {
-                let r = clg.sync_node_of(c);
-                let base = sg
-                    .node(r)
-                    .label
-                    .clone()
-                    .unwrap_or_else(|| format!("n{r}"));
-                if clg.is_in_node(c) {
-                    format!("\"{base}_i\"")
-                } else {
-                    format!("\"{base}_o\"")
-                }
-            }
+            c if clg.is_in_node(c) => format!("n{}_i", clg.sync_node_of(c)),
+            c => format!("n{}_o", clg.sync_node_of(c)),
         }
     };
     for u in (0..clg.num_nodes()).filter(|&u| !clg.is_port(u)) {
@@ -113,8 +113,8 @@ mod tests {
         let clg = PortClg::build(&sg);
         let cdot = clg_dot(&sg, &clg);
         assert!(cdot.contains("digraph clg"));
-        assert!(cdot.contains("r_o"));
-        assert!(cdot.contains("r_i"));
+        assert!(cdot.contains("[label=\"r_o\"]"));
+        assert!(cdot.contains("[label=\"s_i\"]"));
         assert!(cdot.contains("color=blue"));
     }
 }

@@ -15,16 +15,20 @@
 use iwa::analysis::exact::{ConstraintSet, ExactBudget, SeqRelation};
 use iwa::analysis::{naive_analysis, AnalysisCtx, CoexecInfo, FinishOrder, SequenceInfo};
 use iwa::core::{Budget, IwaError};
+use iwa::frontend::{registry, Lang};
 use iwa::graphs::{BitSet, Csr, GraphBuilder, Scc};
 use iwa::reductions::{theorem2_program, theorem3_graph};
 use iwa::sat::Cnf;
+use iwa::syncgraph::dot::clg_dot;
 use iwa::syncgraph::{PortClg, SyncGraph, B, E, FIRST_RV};
+use iwa::tasklang::parse;
 use iwa::tasklang::transforms::unroll_twice;
 use iwa::workloads::figures::all_figures;
 use iwa::workloads::{random_balanced, random_structured, BalancedConfig, StructuredConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 /// Edge provenance in the plain CLG.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -634,8 +638,8 @@ fn port_clg_matches_plain_on_the_figures() {
     }
 }
 
-/// A Theorem 3 instance whose exact walk is long enough for the default
-/// soft budget's step limit to end it.
+/// A Theorem 3 instance whose exact walk is long enough for a soft step
+/// limit alone to end it.
 #[test]
 fn the_soft_step_limit_ends_both_walks_on_the_same_edge() {
     let sg = theorem3_graph(&cnf(11, 4, 6));
@@ -651,4 +655,60 @@ fn the_soft_step_limit_ends_both_walks_on_the_same_edge() {
         "the step limit must cut the walk"
     );
     assert_eq!(got, want);
+}
+
+/// The DOT id `clg_dot` gives paper-CLG node `c`.
+fn dot_id(pg: &PortClg, c: usize) -> String {
+    match c {
+        B => "b".into(),
+        E => "e".into(),
+        c if pg.is_in_node(c) => format!("n{}_i", pg.sync_node_of(c)),
+        c => format!("n{}_o", pg.sync_node_of(c)),
+    }
+}
+
+/// Rendezvous that share a label: `guarded.lok` lowers to two nodes
+/// labelled `a held by t1` and two labelled `c wanted by t1`, and the
+/// second program names both sends `x`. Each CLG node must stay its own
+/// DOT node, and the drawing must show exactly the CLG's edges, in order.
+#[test]
+fn clg_dot_keeps_rendezvous_that_share_a_label_apart() {
+    let guarded = registry::by_lang(Lang::Lok)
+        .load(include_str!("../corpus/locks/guarded.lok"))
+        .unwrap()
+        .sync_graph();
+    let dup = SyncGraph::from_program(
+        &parse("task a { send b.m as x; send b.m as x; } task b { accept m; accept m; }").unwrap(),
+    );
+    for sg in [guarded, dup] {
+        let pg = PortClg::build(&sg);
+        let dot = clg_dot(&sg, &pg);
+        let mut nodes = BTreeSet::new();
+        let mut labels = BTreeSet::new();
+        let mut edges = Vec::new();
+        for line in dot.lines().map(str::trim) {
+            let head = line.split(" [").next().unwrap().trim_end_matches(';');
+            if let Some((u, v)) = head.split_once(" -> ") {
+                nodes.extend([u.to_owned(), v.to_owned()]);
+                edges.push((u.to_owned(), v.to_owned()));
+            } else if let Some(label) = line
+                .strip_prefix(head)
+                .and_then(|l| l.strip_prefix(" [label="))
+            {
+                nodes.insert(head.to_owned());
+                labels.insert(label.to_owned());
+            }
+        }
+        assert!(
+            labels.len() < 2 * sg.num_rendezvous(),
+            "labels collide:\n{dot}"
+        );
+        assert_eq!(nodes.len(), 2 + 2 * sg.num_rendezvous(), "{dot}");
+        let want: Vec<(String, String)> = (0..pg.num_nodes())
+            .filter(|&u| !pg.is_port(u))
+            .flat_map(|u| pg.clg_successors(u).map(move |v| (u, v)))
+            .map(|(u, v)| (dot_id(&pg, u), dot_id(&pg, v)))
+            .collect();
+        assert_eq!(edges, want);
+    }
 }
