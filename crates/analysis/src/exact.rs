@@ -275,7 +275,7 @@ pub(crate) fn exact_impl(
     })
 }
 
-/// Edge classification falls out of CLG node parity: a sync edge is the
+/// Edge classification falls out of CLG node roles: a sync edge is the
 /// only kind that *enters* an `_i` node from a different sync node, so a
 /// path node reached that way is a head.
 struct Search<'a> {

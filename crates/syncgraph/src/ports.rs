@@ -172,9 +172,11 @@ impl PortClg {
             } else {
                 (Some(w), &[][..])
             };
-            direct
-                .into_iter()
-                .chain(ports.iter().map(|&p| self.in_node(self.sync_node_of(p as usize))))
+            direct.into_iter().chain(
+                ports
+                    .iter()
+                    .map(|&p| self.in_node(self.sync_node_of(p as usize))),
+            )
         })
     }
 
