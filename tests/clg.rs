@@ -601,8 +601,8 @@ proptest! {
         check_all(&sg, seed)?;
     }
 
-    /// The same family after Lemma 1 unrolling, as the certify driver
-    /// analyses it.
+    /// The same family after Lemma 1 unrolling, as `certify` analyses
+    /// it.
     #[test]
     fn port_clg_matches_plain_on_unrolled_programs(seed in 0u64..1_000_000, tasks in 2usize..4) {
         let sg = SyncGraph::from_program(&unroll_twice(&loopy(seed, tasks)));
