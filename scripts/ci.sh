@@ -160,6 +160,43 @@ for flag in "" --clg; do
     diff "$golden" "$tmpdir/graph.dot"
 done
 
+echo "==> analyze goldens: every refined rung and the naive floor on every fixture and corpus file"
+# The corpus check above answers every file at the oracle rung, so this
+# stage pins what the lower rungs report: flagged heads, witness-component
+# sizes, steps and the meta.metrics counters. Entries are
+# {"spec", "start", "exit", "report"} with the -j stage's mask applied to
+# the report, collected into one JSON array and diffed byte-for-byte
+# against tests/golden/analyze_rungs.json. To regenerate the golden after
+# an intended change, send the block's output to the golden file instead
+# of the temp file.
+{
+    echo "["
+    sep=""
+    for spec in $(./target/release/iwa fixtures | cut -d' ' -f1) \
+        corpus/*.iwa corpus/lints/*.iwa corpus/locks/*.lok corpus/channels/*.chan; do
+        for start in headtails pairs heads naive; do
+            status=0
+            ./target/release/iwa analyze "$spec" --json --start "$start" \
+                --max-steps 200000 > "$tmpdir/rung.json" || status=$?
+            # 0 clean, 1 anomalous, 3 degraded; anything else is a failure.
+            case "$status" in
+                0 | 1 | 3) ;;
+                *)
+                    echo "iwa analyze $spec --start $start exited $status" >&2
+                    exit 1
+                    ;;
+            esac
+            printf '%s{"spec": "%s", "start": "%s", "exit": %s, "report":\n' \
+                "$sep" "$spec" "$start" "$status"
+            sed "$mask" "$tmpdir/rung.json"
+            echo "}"
+            sep=","
+        done
+    done
+    echo "]"
+} > "$tmpdir/analyze_rungs.json"
+diff tests/golden/analyze_rungs.json "$tmpdir/analyze_rungs.json"
+
 echo "==> serve smoke: the daemon routes .lok and .chan requests through their frontends"
 cargo test -q -p iwa-serve --test serve lok_requests_route_through_the_lock_frontend
 cargo test -q -p iwa-serve --test serve chan_requests_route_through_the_channel_frontend
