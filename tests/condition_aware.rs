@@ -100,8 +100,8 @@ proptest! {
                 let sends = sg.sends_of(sig);
                 let accepts = sg.accepts_of(sig);
                 prop_assert_eq!(
-                    run.fired_node(sends[0]),
-                    run.fired_node(accepts[0]),
+                    run.fired_node(sends[0] as usize),
+                    run.fired_node(accepts[0] as usize),
                     "co-dependent pair split in completed run of:\n{}",
                     p
                 );
