@@ -1,14 +1,16 @@
 //! Strongly connected components (iterative Tarjan) with optional node
-//! masking.
+//! masking, and the single component of one root.
 //!
-//! The refined deadlock-detection algorithm (paper §4.2) runs one SCC
-//! search per hypothesised head node over a masked CLG, asking whether the
-//! head's component is non-trivial. Tarjan gives all components in a single
-//! `O(N + E)` pass, matching the per-iteration cost the paper claims. The
-//! mask (an `Option<&BitSet>`) is the one construction knob: `None` is the
-//! whole-graph decomposition shared across heads, `Some(mask)` is the
-//! per-head incremental restriction — both go through the same entry point
-//! so there is exactly one Tarjan implementation to trust.
+//! The refined deadlock-detection algorithm (paper §4.2) asks, per
+//! hypothesised head node, for the head's component in a masked CLG.
+//! Tarjan gives all components in a single `O(N + E)` pass, matching the
+//! per-iteration cost the paper claims. The mask (an `Option<&BitSet>`)
+//! is the one construction knob: `None` is the whole-graph decomposition
+//! the refined search shares across heads, and `Some(mask)` restricts it
+//! to the subgraph the mask induces. [`Scc::rooted_component`] answers the
+//! per-head question without a whole-graph pass: the root's component in
+//! the subgraph a predicate induces, as forward ∩ backward reachability
+//! from the root, so it costs what those two searches reach.
 
 use crate::view::GraphView;
 use crate::{BitSet, Csr, GraphBuilder};
@@ -35,6 +37,54 @@ impl Scc {
     #[must_use]
     pub fn compute<G: GraphView + ?Sized>(g: &G, mask: Option<&BitSet>) -> Scc {
         SccState::run(g, mask)
+    }
+
+    /// The members of `root`'s strong component in the subgraph induced by
+    /// the nodes `enabled` accepts: the component
+    /// [`compute`](Scc::compute) puts `root` in under the mask of those
+    /// nodes.
+    ///
+    /// It is the set of enabled nodes `root` reaches that also reach
+    /// `root`: one forward search from `root`, then one backward search
+    /// that only enters nodes the forward search reached. Each costs what
+    /// it reaches, plus one `g.num_nodes()`-bit set, so a small component
+    /// of a large graph is answered without touching the rest. A disabled
+    /// `root` is its own singleton, as in `compute`. Members are listed
+    /// `root` first, then in backward-search order.
+    #[must_use]
+    pub fn rooted_component<G: GraphView + ?Sized>(
+        g: &G,
+        root: usize,
+        enabled: impl Fn(usize) -> bool,
+    ) -> Vec<u32> {
+        if !enabled(root) {
+            return vec![root as u32];
+        }
+        let mut reached = BitSet::new(g.num_nodes());
+        reached.insert(root);
+        let mut stack = vec![root as u32];
+        while let Some(u) = stack.pop() {
+            for &w in g.successors(u as usize) {
+                if enabled(w as usize) && reached.insert(w as usize) {
+                    stack.push(w);
+                }
+            }
+        }
+        // Every node on a path from a member back to `root` is itself a
+        // member, so the backward search never leaves the forward set;
+        // claiming a node clears its bit, and the member list is the queue.
+        reached.remove(root);
+        let mut members = vec![root as u32];
+        let mut next = 0;
+        while let Some(&u) = members.get(next) {
+            next += 1;
+            for &w in g.predecessors(u as usize) {
+                if reached.remove(w as usize) {
+                    members.push(w);
+                }
+            }
+        }
+        members
     }
 
     /// Number of components.
@@ -265,6 +315,23 @@ mod tests {
             assert!(u > v, "condensation edge {u}→{v} violates ordering");
         }
         assert!(!crate::dfs::has_cycle_from(&dag, dag.num_nodes() - 1));
+    }
+
+    #[test]
+    fn rooted_component_matches_the_masked_decomposition() {
+        // {0,1,2} cycle → {3,4} cycle, plus isolated 5; masking 1 breaks
+        // the first cycle.
+        let g = Csr::from_edges(6, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3)]);
+        let sorted = |mut m: Vec<u32>| {
+            m.sort_unstable();
+            m
+        };
+        assert_eq!(sorted(Scc::rooted_component(&g, 0, |_| true)), [0, 1, 2]);
+        assert_eq!(sorted(Scc::rooted_component(&g, 4, |_| true)), [3, 4]);
+        assert_eq!(Scc::rooted_component(&g, 5, |_| true), [5]);
+        assert_eq!(Scc::rooted_component(&g, 0, |v| v != 1), [0]);
+        assert_eq!(Scc::rooted_component(&g, 1, |v| v != 1), [1]);
+        assert_eq!(sorted(Scc::rooted_component(&g, 3, |v| v != 1)), [3, 4]);
     }
 
     #[test]

@@ -101,6 +101,30 @@ proptest! {
         }
     }
 
+    /// The rooted query returns exactly the root's component of the masked
+    /// decomposition, root first, on random graphs, masks and roots.
+    #[test]
+    fn rooted_component_matches_masked_scc(
+        input in arb_edges(14),
+        bits in 0u64..(1 << 14),
+        root in 0usize..14,
+    ) {
+        let (n, edges) = input;
+        let g = Csr::from_edges(n, &edges);
+        let root = root % n;
+        let mut mask = BitSet::new(n);
+        for v in (0..n).filter(|v| bits >> v & 1 == 1) {
+            mask.insert(v);
+        }
+        let scc = Scc::compute(&g, Some(&mask));
+        let mut want = scc.members[scc.component_of(root)].clone();
+        want.sort_unstable();
+        let mut got = Scc::rooted_component(&g, root, |v| mask.contains(v));
+        prop_assert_eq!(got[0] as usize, root);
+        got.sort_unstable();
+        prop_assert_eq!(got, want);
+    }
+
     /// A graph has a cycle reachable from node 0 iff some reachable node sits
     /// in a non-trivial SCC.
     #[test]

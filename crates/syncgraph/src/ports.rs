@@ -39,8 +39,10 @@
 //! and the SCC membership of the `r_o`/`r_i` nodes is identical. One shared
 //! whole-graph SCC (computed once per analysis) then serves every per-head
 //! query: heads whose witness ports sit in trivial or differing components
-//! are refuted for free, and the rest need a single Tarjan run masked down
-//! to one component's members.
+//! are refuted for free, a head whose banned ports all lie outside its
+//! witnesses' component keeps that component whole, and the rest search
+//! only that component's unbanned nodes, from the head's witness port
+//! (`iwa_graphs::Scc::rooted_component`).
 //!
 //! Readers of the paper's graph itself — the naive check, the exact cycle
 //! enumeration, the `clg_*` counters and the DOT rendering — look through
