@@ -365,7 +365,8 @@ fn e9_scaling(ctx: &Ctx) -> Table {
          SEQUENCEABLE/COACCEPT/NOT-COEXEC precomputed; 'naive' reads the port CLG. \
          With any fixed message alphabet |E_S| = Θ(N²) — the sparse family only \
          shrinks the constant (≈2.6× here) — so O(N·(N+E)) predicts ~N³ in both; \
-         the fitted search slopes land at ≈2.6–3.1. 'refined(total)' adds the \
+         the fitted search slopes land at ≈2.6–2.8 dense and ≈2.4–2.5 sparse. \
+         'refined(total)' adds the \
          CS88-style ordering dataflow, which the paper costs separately at \
          O(statements³).",
     );
