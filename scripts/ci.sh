@@ -45,6 +45,20 @@ done
 diff "$tmpdir/check-j1.json" "$tmpdir/check-j2.json"
 diff "$tmpdir/check-j1.json" "$tmpdir/check-j8.json"
 
+echo "==> check golden: iwa check corpus --json matches tests/golden byte-for-byte"
+# The stage above compares job counts only against each other, and the
+# lint goldens run the full registry through iwa lint, so this pins the
+# quick-lint diagnostics and verdicts iwa check reports per file. The long
+# deadline leaves the step ceiling as the only budget that can trip. To
+# regenerate the golden after an intended change, send the masked output
+# to the golden file instead of the temp file.
+status=0
+./target/release/iwa check corpus --json --max-steps 200000 --deadline-ms 600000 -j 1 \
+    > "$tmpdir/check-golden-raw.json" || status=$?
+[ "$status" -eq 1 ] || { echo "iwa check corpus exited $status, want 1" >&2; exit 1; }
+sed "$mask" "$tmpdir/check-golden-raw.json" > "$tmpdir/check-golden.json"
+diff tests/golden/check_corpus.json "$tmpdir/check-golden.json"
+
 echo "==> bench trajectory gate"
 # One smoke run, gated on its step counts against the committed
 # trajectory (reports/bench_history.jsonl; >15% regression on any family
