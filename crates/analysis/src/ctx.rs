@@ -249,7 +249,7 @@ impl AnalysisCtx {
         cx: &CoexecInfo,
         opts: &RefinedOptions,
     ) -> Result<RefinedResult, IwaError> {
-        crate::refined::refined_with_impl(sg, clg, seq, cx, None, opts, self)
+        crate::refined::refined_with_impl(sg, clg, seq, cx, opts, self)
     }
 
     /// Run the stall analysis (paper §5) on `p`. Budget trips do not

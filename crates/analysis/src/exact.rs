@@ -176,15 +176,17 @@ pub(crate) fn exact_impl(
     let wallclock = ctx.budget();
     let span = ctx.span("analysis", "exact cycles");
     let clg = PortClg::build(sg);
-    let seq = constraints.c3a.map(|_| SequenceInfo::compute(sg));
-    let finish = match (constraints.c3a, &seq) {
-        (Some(SeqRelation::FinishBeforeStart), Some(seq)) => Some(FinishOrder::compute(sg, seq)),
-        _ => None,
-    };
+    // NOT-COEXEC first: its transient reachability table is freed before
+    // SEQUENCEABLE's matrices exist.
     let cx = if constraints.c3b {
         Some(CoexecInfo::compute(sg))
     } else {
         None
+    };
+    let seq = constraints.c3a.map(|_| SequenceInfo::compute(sg));
+    let finish = match (constraints.c3a, &seq) {
+        (Some(SeqRelation::FinishBeforeStart), Some(seq)) => Some(FinishOrder::compute(sg, seq)),
+        _ => None,
     };
 
     let mut search = Search {

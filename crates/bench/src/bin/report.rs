@@ -326,8 +326,8 @@ fn e9_scaling(ctx: &Ctx) -> Table {
             // The search proper (the paper's O(N·(N+E)) claim), with the
             // supporting tables, the CLG among them, precomputed.
             let clg = iwa_syncgraph::PortClg::build(&sg);
-            let seq = SequenceInfo::compute(&sg);
             let cx = iwa_analysis::CoexecInfo::compute(&sg);
+            let seq = SequenceInfo::compute(&sg);
             let search_d = median_time(3, || {
                 AnalysisCtx::builder().build()
                     .refined_with(&sg, &clg, &seq, &cx, &RefinedOptions::default())

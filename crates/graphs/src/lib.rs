@@ -16,8 +16,9 @@
 //!   node-set representation of the workspace;
 //! * [`dfs`] — iterative depth-first traversals;
 //! * [`scc`] — iterative Tarjan strongly-connected components with an
-//!   `Option<&BitSet>` node mask, and the component of a single root in a
-//!   node-filtered subgraph (the refined algorithm's per-head query);
+//!   `Option<&BitSet>` node mask, their members stored flat, and the
+//!   component of a single root in a node-filtered subgraph (the refined
+//!   algorithm's per-head query);
 //! * [`dominators`] — Cooper–Harvey–Kennedy dominator trees;
 //! * [`topo`] — Kahn topological sort / acyclicity.
 

@@ -74,6 +74,78 @@ fn both(n: usize, edges: &[(usize, usize)]) -> (Csr<()>, AdjGraph) {
     (csr, adj)
 }
 
+/// A test-only copy of the iterative Tarjan that stored one `Vec` of
+/// members per component: `(comp, members)` exactly as it returned them.
+fn nested_tarjan<G: GraphView>(g: &G, mask: Option<&BitSet>) -> (Vec<u32>, Vec<Vec<u32>>) {
+    const UNVISITED: u32 = u32::MAX;
+    let n = g.num_nodes();
+    let mut index = vec![UNVISITED; n];
+    let mut lowlink = vec![0; n];
+    let mut on_stack = BitSet::new(n);
+    let mut stack: Vec<u32> = Vec::new();
+    let mut next_index = 0;
+    let mut comp = vec![0; n];
+    let mut members: Vec<Vec<u32>> = Vec::new();
+    let enabled = |v: usize| mask.is_none_or(|m| m.contains(v));
+    for root in 0..n {
+        if index[root] != UNVISITED {
+            continue;
+        }
+        if !enabled(root) {
+            index[root] = next_index;
+            next_index += 1;
+            comp[root] = members.len() as u32;
+            members.push(vec![root as u32]);
+            continue;
+        }
+        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
+        index[root] = next_index;
+        lowlink[root] = next_index;
+        next_index += 1;
+        stack.push(root as u32);
+        on_stack.insert(root);
+        while let Some(&mut (u, ref mut next)) = call.last_mut() {
+            if *next < g.out_degree(u) {
+                let w = g.successors(u)[*next] as usize;
+                *next += 1;
+                if !enabled(w) {
+                    continue;
+                }
+                if index[w] == UNVISITED {
+                    index[w] = next_index;
+                    lowlink[w] = next_index;
+                    next_index += 1;
+                    stack.push(w as u32);
+                    on_stack.insert(w);
+                    call.push((w, 0));
+                } else if on_stack.contains(w) {
+                    lowlink[u] = lowlink[u].min(index[w]);
+                }
+            } else {
+                call.pop();
+                if let Some(&(parent, _)) = call.last() {
+                    lowlink[parent] = lowlink[parent].min(lowlink[u]);
+                }
+                if lowlink[u] == index[u] {
+                    let cid = members.len() as u32;
+                    let mut group = Vec::new();
+                    loop {
+                        let w = stack.pop().expect("tarjan stack underflow");
+                        on_stack.remove(w as usize);
+                        comp[w as usize] = cid;
+                        group.push(w);
+                        if w as usize == u {
+                            break;
+                        }
+                    }
+                    members.push(group);
+                }
+            }
+        }
+    }
+    (comp, members)
+}
+
 /// Brute-force reachability matrix by repeated DFS.
 fn reach_matrix(g: &Csr<()>) -> Vec<BitSet> {
     (0..g.num_nodes()).map(|v| g.reachable_from(v)).collect()
@@ -101,6 +173,45 @@ proptest! {
         }
     }
 
+    /// The flat member storage gives what the nested one did: the same
+    /// `comp`, the same member lists in the same order, whole-graph and
+    /// masked, and the components partition the nodes.
+    #[test]
+    fn flat_scc_matches_the_nested_tarjan(
+        input in arb_edges(16),
+        bits in 0u64..(1 << 16),
+    ) {
+        let (n, edges) = input;
+        let g = Csr::from_edges(n, &edges);
+        let mut mask = BitSet::new(n);
+        for v in (0..n).filter(|v| bits >> v & 1 == 1) {
+            mask.insert(v);
+        }
+        for mask in [None, Some(&mask)] {
+            let scc = Scc::compute(&g, mask);
+            let (comp, members) = nested_tarjan(&g, mask);
+            prop_assert_eq!(&scc.comp, &comp);
+            prop_assert_eq!(scc.num_components(), members.len());
+            prop_assert_eq!(scc.components().len(), members.len());
+            let flat: Vec<&[u32]> = scc.components().collect();
+            let nested: Vec<&[u32]> = members.iter().map(Vec::as_slice).collect();
+            prop_assert_eq!(&flat, &nested);
+            for (c, m) in members.iter().enumerate() {
+                prop_assert_eq!(scc.members(c), m.as_slice());
+            }
+            let mut seen = vec![false; n];
+            for (c, m) in scc.components().enumerate() {
+                prop_assert!(!m.is_empty());
+                for &v in m {
+                    prop_assert!(!seen[v as usize], "node {} listed twice", v);
+                    seen[v as usize] = true;
+                    prop_assert_eq!(scc.component_of(v as usize), c);
+                }
+            }
+            prop_assert!(seen.iter().all(|&s| s));
+        }
+    }
+
     /// The rooted query returns exactly the root's component of the masked
     /// decomposition, root first, on random graphs, masks and roots.
     #[test]
@@ -117,7 +228,7 @@ proptest! {
             mask.insert(v);
         }
         let scc = Scc::compute(&g, Some(&mask));
-        let mut want = scc.members[scc.component_of(root)].clone();
+        let mut want = scc.members(scc.component_of(root)).to_vec();
         want.sort_unstable();
         let mut got = Scc::rooted_component(&g, root, |v| mask.contains(v));
         prop_assert_eq!(got[0] as usize, root);
@@ -201,7 +312,7 @@ proptest! {
         let a = Scc::compute(&csr, None);
         let b = Scc::compute(&adj, None);
         prop_assert_eq!(&a.comp, &b.comp);
-        prop_assert_eq!(&a.members, &b.members);
+        prop_assert!(a.components().eq(b.components()));
         // Masked runs agree too (mask = even nodes).
         let mut mask = BitSet::new(n);
         for v in (0..n).step_by(2) {
@@ -210,7 +321,7 @@ proptest! {
         let am = Scc::compute(&csr, Some(&mask));
         let bm = Scc::compute(&adj, Some(&mask));
         prop_assert_eq!(&am.comp, &bm.comp);
-        prop_assert_eq!(&am.members, &bm.members);
+        prop_assert!(am.components().eq(bm.components()));
     }
 
     /// Condensation edge lists are identical (order included).

@@ -316,7 +316,7 @@ impl OldSearch<'_> {
         }
         let first = witnesses[0];
         let full_comp = full.component_of(first);
-        if full.members[full_comp].len() <= 1 {
+        if full.members(full_comp).len() <= 1 {
             return Ok(None);
         }
         if !witnesses.iter().all(|&w| full.same_component(first, w)) {
@@ -324,7 +324,7 @@ impl OldSearch<'_> {
         }
 
         let mut mask = BitSet::new(pg.num_nodes());
-        for &m in &full.members[full_comp] {
+        for &m in full.members(full_comp) {
             mask.insert(m as usize);
         }
         for k in do_not_enter.iter_ones() {
@@ -341,13 +341,14 @@ impl OldSearch<'_> {
         }
         *runs += 1;
         let scc = Scc::compute(&pg.graph, Some(&mask));
-        if scc.members[scc.component_of(first)].len() <= 1 {
+        if scc.members(scc.component_of(first)).len() <= 1 {
             return Ok(None);
         }
         if !witnesses.iter().all(|&w| scc.same_component(first, w)) {
             return Ok(None);
         }
-        let mut sync_nodes: Vec<usize> = scc.members[scc.component_of(first)]
+        let mut sync_nodes: Vec<usize> = scc
+            .members(scc.component_of(first))
             .iter()
             .map(|&m| pg.sync_node_of(m as usize))
             .filter(|&n| sg.is_rendezvous(n))
