@@ -99,7 +99,9 @@ pub enum LintStage {
     /// `.lok`/`.chan` lint (those all read the precomputed model) — cheap
     /// enough to ride along with every analysis, and the stage `iwa
     /// check` uses to surface the legacy `validate` warnings it used to
-    /// drop.
+    /// drop. The tasklang lints read only the
+    /// [`LintContext`](iwa_lint::LintContext)'s AST views, so this stage
+    /// builds no sync graph.
     Quick,
     /// The file language's whole catalog ([`registry_for`]), including
     /// the tasklang sync-graph lints that re-run the refined and stall

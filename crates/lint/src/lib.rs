@@ -175,7 +175,8 @@ pub fn registry_for(lang: Lang) -> Vec<Box<dyn LintPass>> {
 
 /// The AST-level lints: cheap passes over the parsed program (the three
 /// migrated `validate` warnings plus the structural lints). `analyze` and
-/// `check` surface these without paying for the sync-graph analyses.
+/// `check` surface these without paying for the sync-graph analyses: they
+/// read only the [`LintContext`]'s AST views, so no sync graph is built.
 #[must_use]
 pub fn quick_registry() -> Vec<Box<dyn LintPass>> {
     vec![

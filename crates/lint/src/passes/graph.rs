@@ -31,7 +31,7 @@ impl LintPass for SelfRendezvousCycle {
     }
 
     fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let sg = &ctx.sg;
+        let sg = ctx.sg();
         for n in sg.rendezvous_nodes() {
             let d = sg.node(n);
             if d.rendezvous.sign != Sign::Minus {
@@ -124,12 +124,13 @@ impl LintPass for DeadlockHead {
     }
 
     fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let Ok(result) = ctx.ctx.refined(&ctx.unrolled_sg, &RefinedOptions::default()) else {
+        let sg = ctx.unrolled_sg();
+        let Ok(result) = ctx.ctx.refined(sg, &RefinedOptions::default()) else {
             // Budget exhausted or cancelled: certify nothing, flag nothing.
             return;
         };
         for f in &result.flagged {
-            let d = ctx.unrolled_sg.node(f.head);
+            let d = sg.node(f.head);
             out.push(Diagnostic {
                 lint: self.lint().name.to_owned(),
                 severity: Severity::Deny,
@@ -139,8 +140,8 @@ impl LintPass for DeadlockHead {
                 message: format!(
                     "potential deadlock: task '{}' waiting at '{}{}' heads a nonremovable \
                      cycle of rendezvous",
-                    ctx.unrolled_sg.symbols.task_name(d.task),
-                    ctx.unrolled_sg.symbols.signal_name(d.rendezvous.signal),
+                    sg.symbols.task_name(d.task),
+                    sg.symbols.signal_name(d.rendezvous.signal),
                     d.rendezvous.sign,
                 ),
                 span: d.span,
