@@ -11,7 +11,9 @@
 //! `WaveStore` and named by its discovery id, so the queue is a cursor over
 //! ids and a witness parent is an id. Initial waves come from a lazy
 //! `Odometer` that probes the budget once per wave, and a `Stepper` writes
-//! each successor into one scratch wave.
+//! each successor into one scratch wave. A wave's hash is the XOR of one
+//! key per slot, so a successor's hash follows from its wave's through the
+//! two slots the rendezvous changed, whatever the number of tasks.
 
 use crate::classify::{classify, AnomalyReport, DeadlockFilter};
 use crate::wave::{Wave, DONE};
@@ -265,13 +267,14 @@ impl<'g> Stepper<'g> {
     }
 
     /// Call `f` on every wave one rendezvous away from `wave`, with the
-    /// rendezvous that produced it: READY pairs in order, then the first
-    /// node's successor slots, then the second's. Returns how many
-    /// successors there were.
+    /// rendezvous that produced it and the two slots `(i, j)` it moved (the
+    /// successor equals `wave` everywhere else): READY pairs in order, then
+    /// the first node's successor slots, then the second's. Returns how
+    /// many successors there were.
     pub(crate) fn for_each_successor<Err>(
         &mut self,
         wave: &[u32],
-        mut f: impl FnMut(&[u32], WitnessStep) -> Result<(), Err>,
+        mut f: impl FnMut(&[u32], WitnessStep, (usize, usize)) -> Result<(), Err>,
     ) -> Result<usize, Err> {
         let sg = self.sg;
         self.ready_pairs(wave);
@@ -301,7 +304,7 @@ impl<'g> Stepper<'g> {
                 for &sj in sg.control.successors(step.b) {
                     self.next[j] = slot(sj, step.b);
                     count += 1;
-                    f(&self.next, step)?;
+                    f(&self.next, step, (i, j))?;
                 }
             }
             self.next[i] = wave[i];
@@ -313,7 +316,7 @@ impl<'g> Stepper<'g> {
     /// Every successor of `wave`, each with its rendezvous.
     pub(crate) fn successors(&mut self, wave: &[u32]) -> Vec<(Wave, WitnessStep)> {
         let mut out = Vec::new();
-        let Ok(_) = self.for_each_successor(wave, |s, step| {
+        let Ok(_) = self.for_each_successor(wave, |s, step, _| {
             out.push((Wave(s.to_vec()), step));
             Ok::<(), Infallible>(())
         });
@@ -339,7 +342,8 @@ const NO_WAVE: u32 = u32::MAX;
 /// Every wave an exploration has seen, each stored once: wave `id` holds
 /// `slots[id * width..][..width]`, ids count up in discovery order, and an
 /// open-addressing table of ids (linear probing, at most half full) finds
-/// a wave by a fixed, seedless hash of its slots.
+/// a wave by a fixed, seedless hash of its slots. The table only places
+/// ids, so the hash decides no id, order or answer.
 struct WaveStore {
     width: usize,
     len: usize,
@@ -368,16 +372,36 @@ impl WaveStore {
         &self.slots[id * self.width..][..self.width]
     }
 
-    fn hash(wave: &[u32]) -> u64 {
-        wave.iter().fold(0, |h: u64, &s| {
-            (h.rotate_left(5) ^ u64::from(s)).wrapping_mul(0x517c_c1b7_2722_0a95)
-        })
+    /// The key of `value` in slot `slot`: splitmix64's finaliser over the
+    /// pair.
+    fn key(slot: usize, value: u32) -> u64 {
+        let mut z = ((slot as u64) << 32 | u64::from(value)).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 
-    /// The free cell for `wave`, or `None` when it is already stored.
-    fn find(&self, wave: &[u32]) -> Option<usize> {
+    /// The hash of `wave`: the XOR of its slots' keys.
+    fn hash(wave: &[u32]) -> u64 {
+        wave.iter()
+            .enumerate()
+            .fold(0, |h, (slot, &value)| h ^ Self::key(slot, value))
+    }
+
+    /// The hash of `next`, given the hash `h` of `wave` and the two slots
+    /// outside which `next` equals `wave`: two keys out, two keys in.
+    fn step_hash(h: u64, wave: &[u32], next: &[u32], (i, j): (usize, usize)) -> u64 {
+        h ^ Self::key(i, wave[i])
+            ^ Self::key(i, next[i])
+            ^ Self::key(j, wave[j])
+            ^ Self::key(j, next[j])
+    }
+
+    /// The free cell for `wave`, whose hash is `hash`, or `None` when it is
+    /// already stored.
+    fn find(&self, wave: &[u32], hash: u64) -> Option<usize> {
         let mask = self.table.len() - 1;
-        let mut cell = (Self::hash(wave) >> self.shift) as usize;
+        let mut cell = (hash >> self.shift) as usize;
         loop {
             match self.table[cell] {
                 NO_WAVE => return Some(cell),
@@ -387,12 +411,14 @@ impl WaveStore {
         }
     }
 
-    /// Store `wave` under the next id; `false` when it was already stored.
-    fn insert(&mut self, wave: &[u32]) -> bool {
+    /// Store `wave`, whose hash is `hash`, under the next id; `false` when
+    /// it was already stored.
+    fn insert(&mut self, wave: &[u32], hash: u64) -> bool {
+        debug_assert_eq!(hash, Self::hash(wave), "a stepped hash went stale");
         if 2 * (self.len + 1) > self.table.len() {
             self.grow();
         }
-        let Some(cell) = self.find(wave) else {
+        let Some(cell) = self.find(wave, hash) else {
             return false;
         };
         assert!(self.len < NO_WAVE as usize, "wave ids stay below u32::MAX");
@@ -406,7 +432,10 @@ impl WaveStore {
         self.table = vec![NO_WAVE; 2 * self.table.len()];
         self.shift -= 1;
         for id in 0..self.len {
-            let cell = self.find(self.get(id)).expect("stored waves are distinct");
+            let wave = self.get(id);
+            let cell = self
+                .find(wave, Self::hash(wave))
+                .expect("stored waves are distinct");
             self.table[cell] = id as u32;
         }
     }
@@ -457,7 +486,7 @@ pub fn explore_budgeted(
     let mut odometer = Odometer::new(sg)?;
     while let Some(w) = odometer.next_wave() {
         budget.probe(WHAT)?;
-        store.insert(w);
+        store.insert(w, WaveStore::hash(w));
         if store.len() > config.max_states {
             return Err(too_many(0, store.len()));
         }
@@ -490,10 +519,11 @@ pub fn explore_budgeted(
             can_terminate = true;
             continue;
         }
-        let successors = stepper.for_each_successor(&wave, |s, step| {
+        let hash = WaveStore::hash(&wave);
+        let successors = stepper.for_each_successor(&wave, |s, step, moved| {
             budget.checkpoint(WHAT)?;
             transitions += 1;
-            if store.insert(s) {
+            if store.insert(s, WaveStore::step_hash(hash, &wave, s, moved)) {
                 budget.record_items(1);
                 if config.track_witnesses {
                     parents.push((from, step));
@@ -745,6 +775,77 @@ mod tests {
             ..ExploreConfig::default()
         };
         assert_eq!(explore(&sg, &config).unwrap().anomaly_count, 1);
+    }
+
+    #[test]
+    fn stepped_hashes_equal_full_hashes_on_every_successor() {
+        use iwa_tasklang::transforms::unroll_twice;
+        use iwa_workloads::classics::{dining_philosophers, pipeline_looping, token_ring};
+        use iwa_workloads::{random_balanced, random_structured, BalancedConfig, StructuredConfig};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use std::collections::HashSet;
+
+        let mut graphs = vec![
+            SyncGraph::from_program(&dining_philosophers(4)),
+            SyncGraph::from_program(&pipeline_looping(4)),
+            SyncGraph::from_program(&token_ring(5)),
+        ];
+        for seed in 0..24 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let structured = random_structured(
+                &mut rng,
+                &StructuredConfig {
+                    tasks: 2 + seed as usize % 3,
+                    rendezvous_per_task: 3,
+                    branch_prob: 0.3,
+                    loop_prob: 0.2,
+                    message_types: 2,
+                },
+            );
+            graphs.push(SyncGraph::from_program(&structured));
+            graphs.push(SyncGraph::from_program(&unroll_twice(&structured)));
+            let balanced = random_balanced(
+                &mut rng,
+                &BalancedConfig {
+                    tasks: 2 + seed as usize % 4,
+                    events: 10,
+                    swaps: 0,
+                    ..BalancedConfig::default()
+                },
+            );
+            graphs.push(SyncGraph::from_program(&balanced));
+        }
+        let mut checked = 0usize;
+        for sg in &graphs {
+            // Every reachable wave, up to a cap, and each of its successors.
+            let mut stepper = Stepper::new(sg);
+            let mut queue: Vec<Vec<u32>> = initial_waves(sg)
+                .unwrap()
+                .into_iter()
+                .map(|w| w.0)
+                .collect();
+            let mut seen: HashSet<Vec<u32>> = queue.iter().cloned().collect();
+            while let Some(wave) = queue.pop() {
+                let hash = WaveStore::hash(&wave);
+                let Ok(_) = stepper.for_each_successor(&wave, |s, _, (i, j)| {
+                    assert!(i < j);
+                    for (t, (&a, &b)) in wave.iter().zip(s).enumerate() {
+                        assert!(a == b || t == i || t == j, "slot {t} moved");
+                    }
+                    assert_eq!(
+                        WaveStore::step_hash(hash, &wave, s, (i, j)),
+                        WaveStore::hash(s)
+                    );
+                    checked += 1;
+                    if seen.len() < 2000 && seen.insert(s.to_vec()) {
+                        queue.push(s.to_vec());
+                    }
+                    Ok::<(), Infallible>(())
+                });
+            }
+        }
+        assert!(checked > 1000, "only {checked} successors checked");
     }
 
     #[test]
