@@ -128,9 +128,12 @@ const DEADLOCK: &str = "task t1 { send t2.a; accept b; } task t2 { send t1.b; ac
 fn a_one_ms_deadline_yields_a_labelled_degraded_verdict() {
     let dir = scratch("deadline");
     let path = dir.join("adversarial.iwa");
+    // Sixteen pairs three loops deep: each rung gets about a fifth of the
+    // millisecond, and an optimised build runs every refined rung of a
+    // smaller nest inside that.
     std::fs::write(
         &path,
-        iwa_workloads::adversarial::deep_loop_nest(8, 2).to_source(),
+        iwa_workloads::adversarial::deep_loop_nest(16, 3).to_source(),
     )
     .unwrap();
     let (out, err, code) = iwa(&["analyze", path.to_str().unwrap(), "--deadline-ms", "1"]);

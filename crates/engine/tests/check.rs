@@ -86,7 +86,10 @@ fn an_all_clean_corpus_exits_0() {
 #[test]
 fn deadline_degraded_files_exit_3_and_stay_labelled() {
     let dir = scratch("degraded");
-    let adversarial = iwa_workloads::adversarial::deep_loop_nest(4, 2).to_source();
+    // Sixteen pairs three loops deep: each rung gets about a fifth of the
+    // millisecond, and an optimised build runs every refined rung of a
+    // smaller nest inside that.
+    let adversarial = iwa_workloads::adversarial::deep_loop_nest(16, 3).to_source();
     std::fs::write(dir.join("slow.iwa"), adversarial).unwrap();
     let opts = EngineOptions {
         deadline: Some(Duration::from_millis(1)),

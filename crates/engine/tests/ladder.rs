@@ -199,7 +199,10 @@ fn step_ceilings_select_each_rung_deterministically() {
 
 #[test]
 fn a_one_millisecond_deadline_degrades_promptly_to_the_floor() {
-    let p = deep_loop_nest(4, 2);
+    // Sixteen pairs three loops deep: each rung gets about a fifth of the
+    // millisecond, and an optimised build runs every refined rung of a
+    // smaller nest inside that.
+    let p = deep_loop_nest(16, 3);
     let r = analyze(
         &p,
         &EngineOptions {
