@@ -25,13 +25,17 @@
 //! **one** shared SCC decomposition of the port-expanded CLG
 //! ([`iwa_syncgraph::PortClg`]) up front, refutes for free every hypothesis
 //! whose witness nodes sit in trivial or differing shared components
-//! (masked components only ever refine the unmasked ones), and answers each
-//! remaining hypothesis from that decomposition when none of its banned
-//! ports lies in the witnesses' shared component. Only the rest search the
-//! graph, and only from the first witness, over that component's unbanned
-//! nodes ([`Scc::rooted_component`]). The certify driver builds the port
-//! CLG and this decomposition once and reads the naive check from them
-//! too.
+//! (masked components only ever refine the unmasked ones) before building
+//! any ban set, and answers each remaining hypothesis from that
+//! decomposition when none of its banned ports lies in the witnesses'
+//! shared component. Only the rest search the graph, and only from the
+//! first witness, over that component's unbanned nodes
+//! ([`Scc::rooted_component`]). The certify driver builds the port CLG and
+//! this decomposition once and reads the naive check from them too. The
+//! `SEQUENCEABLE` and `NOT-COEXEC` tables are read only to mark the CLG
+//! for a hypothesis that survives free refutation, so they are built when
+//! the first one does: a program whose CLG has no cycle through a head
+//! never builds them.
 //!
 //! The extensions (paper §4.2's bullet list) trade time for precision:
 //! [`Tier::HeadPairs`] confirms each flagged head with a second
@@ -48,6 +52,7 @@ use iwa_core::obs::Counters;
 use iwa_core::{pool, IwaError};
 use iwa_graphs::{BitSet, Scc};
 use iwa_syncgraph::{PortClg, SyncGraph};
+use std::sync::OnceLock;
 
 /// Which accuracy/cost point of the paper's spectrum to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -154,8 +159,8 @@ pub struct RefinedResult {
 }
 
 /// [`AnalysisCtx::refined`] and [`AnalysisCtx::refined_seeded`]: build
-/// the supporting tables, then run the marked searches over `seeds`, or
-/// over every possible head when `None`.
+/// the port CLG and its shared decomposition, then run the marked
+/// searches over `seeds`, or over every possible head when `None`.
 ///
 /// The sync graph should be loop-free in its control edges (apply the
 /// Lemma 1 unrolling first — the [`AnalysisCtx::certify`] driver does);
@@ -196,9 +201,10 @@ fn shared_scc(pg: &PortClg, ctx: &AnalysisCtx) -> Scc {
 }
 
 /// The refined analysis over a port CLG and its shared decomposition
-/// ([`clg_and_scc`]) the caller already holds: build the relation tables,
-/// then search. NOT-COEXEC is built first, so its transient reachability
-/// table is gone before SEQUENCEABLE's two `N × N` matrices exist.
+/// ([`clg_and_scc`]) the caller already holds. The relation tables are
+/// built on first read ([`Tables::OnFirstRead`]): when the first
+/// hypothesis survives free refutation, or before the search when an
+/// option reads the finish-before-start relation.
 pub(crate) fn refined_on(
     sg: &SyncGraph,
     pg: &PortClg,
@@ -207,19 +213,49 @@ pub(crate) fn refined_on(
     opts: &RefinedOptions,
     ctx: &AnalysisCtx,
 ) -> Result<RefinedResult, IwaError> {
-    let cx = {
-        let _span = ctx.span("analysis", "coexec");
-        if opts.use_condition_coexec {
-            CoexecInfo::compute_with_conditions(sg)
-        } else {
-            CoexecInfo::compute(sg)
+    let tables = Tables::OnFirstRead(OnceLock::new());
+    search_heads(sg, pg, full, &tables, seeds, opts, ctx)
+}
+
+/// The `SEQUENCEABLE` and `NOT-COEXEC` tables a search reads.
+enum Tables<'a> {
+    /// The caller's ([`AnalysisCtx::refined_with`]).
+    Given(&'a SequenceInfo, &'a CoexecInfo),
+    /// Built as one pair by the first reader, on whichever worker that
+    /// is. NOT-COEXEC is built first, so its transient reachability table
+    /// is gone before SEQUENCEABLE's two `N × N` matrices exist.
+    OnFirstRead(OnceLock<(CoexecInfo, SequenceInfo)>),
+}
+
+impl Tables<'_> {
+    fn get(
+        &self,
+        sg: &SyncGraph,
+        opts: &RefinedOptions,
+        ctx: &AnalysisCtx,
+    ) -> (&SequenceInfo, &CoexecInfo) {
+        match self {
+            Tables::Given(seq, cx) => (seq, cx),
+            Tables::OnFirstRead(cell) => {
+                let (cx, seq) = cell.get_or_init(|| {
+                    let cx = {
+                        let _span = ctx.span("analysis", "coexec");
+                        if opts.use_condition_coexec {
+                            CoexecInfo::compute_with_conditions(sg)
+                        } else {
+                            CoexecInfo::compute(sg)
+                        }
+                    };
+                    let seq = {
+                        let _span = ctx.span("analysis", "sequence");
+                        SequenceInfo::compute(sg)
+                    };
+                    (cx, seq)
+                });
+                (seq, cx)
+            }
         }
-    };
-    let seq = {
-        let _span = ctx.span("analysis", "sequence");
-        SequenceInfo::compute(sg)
-    };
-    search_heads(sg, pg, full, &seq, &cx, seeds, opts, ctx)
+    }
 }
 
 /// The outcome of one head hypothesis: SCC searches performed, the
@@ -238,10 +274,10 @@ pub(crate) fn refined_with_impl(
     ctx: &AnalysisCtx,
 ) -> Result<RefinedResult, IwaError> {
     let full = shared_scc(pg, ctx);
-    search_heads(sg, pg, &full, seq, cx, None, opts, ctx)
+    search_heads(sg, pg, &full, &Tables::Given(seq, cx), None, opts, ctx)
 }
 
-/// The per-head search loop over prebuilt tables and `full`, the shared
+/// The per-head search loop over `tables` and `full`, the shared
 /// decomposition of `pg`. `seeds` overrides the hypothesis set: frontends
 /// that know where deadlock cycles can start (the lock-order lowering's
 /// hold-points, for instance) seed exactly those nodes instead of paying
@@ -253,22 +289,22 @@ pub(crate) fn refined_with_impl(
 /// workers. Results merge in head order, making the output byte-identical
 /// for any worker count; the shared budget keeps the overall step/time
 /// ceiling exact across workers (clones share counters).
-#[allow(clippy::too_many_arguments)] // each table is the caller's, built once
 fn search_heads(
     sg: &SyncGraph,
     pg: &PortClg,
     full: &Scc,
-    seq: &SequenceInfo,
-    cx: &CoexecInfo,
+    tables: &Tables<'_>,
     seeds: Option<&[usize]>,
     opts: &RefinedOptions,
     ctx: &AnalysisCtx,
 ) -> Result<RefinedResult, IwaError> {
     // The finish-before-start relation is read only by the constraint-4
-    // rescue and the literal-relation ablation; build it for them alone.
+    // rescue and the literal-relation ablation; build it, and the tables
+    // it derives from, for them alone before the search.
     let finish = (opts.apply_constraint4
         || (opts.use_sequenceable && opts.paper_sequence_relation))
         .then(|| {
+            let (seq, _) = tables.get(sg, opts, ctx);
             let _span = ctx.span("analysis", "finish order");
             FinishOrder::compute(sg, seq)
         });
@@ -312,9 +348,8 @@ fn search_heads(
         full,
         full_sync_nodes: &full_sync_nodes,
         second_heads: &second_heads,
-        seq,
+        tables,
         finish: finish.as_ref(),
-        cx,
         opts,
         rescued: &rescued,
         ctx,
@@ -372,10 +407,10 @@ struct Search<'a> {
     full_sync_nodes: &'a [(usize, Vec<usize>)],
     /// The second heads the head-pair tier may try (empty at other tiers).
     second_heads: &'a BitSet,
-    seq: &'a SequenceInfo,
+    /// Read only once a hypothesis survives free refutation.
+    tables: &'a Tables<'a>,
     /// `S`, present only when an option reads it.
     finish: Option<&'a FinishOrder>,
-    cx: &'a CoexecInfo,
     opts: &'a RefinedOptions,
     /// Constraint-4 rescued nodes (empty unless the post-pass is on).
     rescued: &'a [usize],
@@ -383,6 +418,11 @@ struct Search<'a> {
 }
 
 impl Search<'_> {
+    /// `SEQUENCEABLE` and `NOT-COEXEC`, built if no reader has yet.
+    fn tables(&self) -> (&SequenceInfo, &CoexecInfo) {
+        self.tables.get(self.sg, self.opts, self.ctx)
+    }
+
     /// Examine one head hypothesis end to end: the base marked search plus
     /// any pair/tail confirmation the tier asks for. This is the unit of
     /// parallel work.
@@ -451,18 +491,18 @@ impl Search<'_> {
     /// component containing every required witness node, or `None` when
     /// the hypothesis dies.
     ///
-    /// The ban sets are sync-node-indexed bit rows unioned in whole 64-bit
-    /// words from the precomputed [`SequenceInfo`]/[`CoexecInfo`] tables,
-    /// then translated to the banned ports: all four of a do-not-enter
-    /// node's, and the sync-in or sync-out port of a node banned in that
-    /// direction. Because masking only ever *shrinks* components, a
-    /// hypothesis whose witnesses sit in trivial or differing components
-    /// of `full` is refuted with no graph work at all. Otherwise one masked
-    /// search runs (`runs` counts it), restricted to the witnesses' shared
-    /// component: when no banned port lies in that component the answer is
-    /// the component itself, and when one does, the first witness's
-    /// component among the unbanned members is searched from that witness
-    /// alone.
+    /// Because masking only ever *shrinks* components, a hypothesis whose
+    /// witnesses sit in trivial or differing components of `full` is
+    /// refuted first, with no graph work and no ban set at all. Otherwise
+    /// the ban sets are sync-node-indexed bit rows unioned in whole 64-bit
+    /// words from the [`SequenceInfo`]/[`CoexecInfo`] tables, then
+    /// translated to the banned ports: all four of a do-not-enter node's,
+    /// and the sync-in or sync-out port of a node banned in that
+    /// direction. One masked search runs (`runs` counts it), restricted to
+    /// the witnesses' shared component: when no banned port lies in that
+    /// component the answer is the component itself, and when one does,
+    /// the first witness's component among the unbanned members is
+    /// searched from that witness alone.
     fn marked_search(
         &self,
         heads: &[usize],
@@ -477,6 +517,26 @@ impl Search<'_> {
         // budgets.
         budget.checkpoint("refined marked SCC search")?;
         budget.record_items(1);
+
+        // Every witness must sit in one common non-trivial component —
+        // first of the *shared* decomposition (free refutation), then of
+        // the masked one.
+        let mut witnesses: Vec<usize> = heads.iter().map(|&h| pg.in_node(h)).collect();
+        if let Some(t) = tail {
+            witnesses.push(pg.out_node(t));
+        }
+        let first = witnesses[0];
+        let full_comp = full.component_of(first);
+        // The port CLG has no self-loops, so non-trivial ⇔ >1 member.
+        if full.members(full_comp).len() <= 1 {
+            return Ok(None);
+        }
+        if !witnesses.iter().all(|&w| full.same_component(first, w)) {
+            return Ok(None);
+        }
+        *runs += 1;
+
+        let (seq, cx) = self.tables();
         let n = sg.num_nodes();
         let mut sync_in_banned = BitSet::new(n);
         let mut sync_out_banned = BitSet::new(n);
@@ -506,7 +566,7 @@ impl Search<'_> {
                         }
                     }
                 } else {
-                    let row = self.seq.wave_exclusive_row(h);
+                    let row = seq.wave_exclusive_row(h);
                     delta.sequenceable_hits += row.count() as u64;
                     sync_in_banned.union_with(row);
                     if opts.strict_sequenceable_marking {
@@ -522,14 +582,14 @@ impl Search<'_> {
                 }
             }
             if opts.use_not_coexec {
-                let row = self.cx.not_coexec_row(h);
+                let row = cx.not_coexec_row(h);
                 delta.not_coexec_hits += row.count() as u64;
                 do_not_enter.union_with(row);
             }
         }
         if let Some(t) = tail {
             if opts.use_not_coexec {
-                let row = self.cx.not_coexec_row(t);
+                let row = cx.not_coexec_row(t);
                 delta.not_coexec_hits += row.count() as u64;
                 do_not_enter.union_with(row);
             }
@@ -543,24 +603,6 @@ impl Search<'_> {
             sync_out_banned.remove(t);
             do_not_enter.remove(t);
         }
-
-        // Every witness must sit in one common non-trivial component —
-        // first of the *shared* decomposition (free refutation), then of
-        // the masked one.
-        let mut witnesses: Vec<usize> = heads.iter().map(|&h| pg.in_node(h)).collect();
-        if let Some(t) = tail {
-            witnesses.push(pg.out_node(t));
-        }
-        let first = witnesses[0];
-        let full_comp = full.component_of(first);
-        // The port CLG has no self-loops, so non-trivial ⇔ >1 member.
-        if full.members(full_comp).len() <= 1 {
-            return Ok(None);
-        }
-        if !witnesses.iter().all(|&w| full.same_component(first, w)) {
-            return Ok(None);
-        }
-        *runs += 1;
 
         // The masked subgraph is the witnesses' shared component minus the
         // banned ports. A component is strongly connected through its own
@@ -624,7 +666,8 @@ impl Search<'_> {
                 continue;
             }
             // Constraint 3a/3b on the pair itself.
-            if self.seq.wave_exclusive(sg, h, h2) || self.cx.not_coexec(sg, h, h2) {
+            let (seq, cx) = self.tables();
+            if seq.wave_exclusive(sg, h, h2) || cx.not_coexec(sg, h, h2) {
                 continue;
             }
             if let Some(comp2) = self.marked_search(&[h, h2], None, runs, delta)? {
@@ -667,7 +710,7 @@ impl Search<'_> {
             if sg.sync_neighbors(t).is_empty() {
                 continue; // a tail must leave via a sync edge
             }
-            if coaccept.contains(&t) || self.cx.not_coexec(sg, h, t) {
+            if coaccept.contains(&t) || self.tables().1.not_coexec(sg, h, t) {
                 continue; // paper's eligibility conditions
             }
             if let Some(comp2) = self.marked_search(&[h], Some(t), runs, delta)? {

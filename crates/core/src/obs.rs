@@ -62,11 +62,15 @@ pub struct Counters {
     pub heads_examined: u64,
     /// SCC computations run during refined marked searches.
     pub scc_runs: u64,
-    /// SEQUENCEABLE pruning-rule hits (sync-in edges banned).
+    /// SEQUENCEABLE pruning-rule hits: sync-in edges banned, summed over
+    /// the hypotheses that reach a masked search. A hypothesis refuted
+    /// for free from the shared SCC builds no bans and counts none.
     pub sequenceable_hits: u64,
-    /// COACCEPT pruning-rule hits (sync-out edges banned).
+    /// COACCEPT pruning-rule hits: co-accepts banned in both directions,
+    /// counted like `sequenceable_hits`.
     pub coaccept_hits: u64,
-    /// NOT-COEXEC pruning-rule hits (nodes excluded from the search).
+    /// NOT-COEXEC pruning-rule hits: nodes excluded from the search,
+    /// counted like `sequenceable_hits`.
     pub not_coexec_hits: u64,
     /// Heads rescued from pruning by Constraint 4 (loop coexecution).
     pub constraint4_rescues: u64,

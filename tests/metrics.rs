@@ -145,9 +145,13 @@ fn figure_pruning_hit_counts_are_pinned() {
     }
 }
 
-const FIG1: Pins = (4, 13, 4, 2, 0);
+/// Free refutation dismisses the heads `t` and `u`, the accepts on the
+/// two arms, before their bans are built or counted.
+const FIG1: Pins = (4, 7, 0, 0, 0);
 const FIG2B: Pins = (2, 4, 0, 0, 0);
-const FIG3: Pins = (3, 8, 1, 0, 0);
+/// Free refutation dismisses the head `u`, `q`'s send, before its bans
+/// are built or counted.
+const FIG3: Pins = (3, 5, 1, 0, 0);
 const FIG4C: Pins = (4, 18, 0, 4, 0);
 const LEMMA2: Pins = (2, 4, 1, 0, 0);
 

@@ -10,23 +10,37 @@
 //! linear search. Constraint 4's rescue set is copied too, since it is
 //! private. The copy keeps every budget checkpoint of the original.
 //!
+//! The copy builds each hypothesis's ban sets before its free-refutation
+//! test, and counts their hits into `sequenceable_hits`, `coaccept_hits`
+//! and `not_coexec_hits` whether or not that test then dismisses the
+//! hypothesis. The search under test refutes first and counts only the
+//! bans of hypotheses that reach a masked search, so the copy also tallies
+//! the hits of the hypotheses it dismisses, and the search must report
+//! the copy's hits minus that tally.
+//!
 //! For every input, tier, option set, seeding and worker count, the
 //! search must report the same verdict, the same flags (head, partner and
-//! component), the same `scc_runs`, commit the same counter delta and
-//! charge the same budget steps and items. A step ceiling below the full
-//! charge must trip both at the same step, with the same error.
+//! component), the same `scc_runs`, commit the same counter delta (the
+//! three hit counters as above) and charge the same budget steps and
+//! items. A step ceiling below the full charge must trip both at the same
+//! step, with the same error.
 //!
 //! Inputs: generated structured programs, unrolled where they loop, and
 //! generated balanced and conditioned programs; Theorem 2 and 3
 //! instances; the paper's figures; and the lowered `.lok`/`.chan`
 //! families `lock_chain`, `lock_mesh`, `chan_ring` and
 //! `chan_select_storm` in both flavours.
+//!
+//! A last test pins when the search builds its relation tables: once, on
+//! the first hypothesis that survives free refutation, and never when none
+//! does.
 
 use iwa::analysis::{
-    AnalysisCtx, CoexecInfo, FinishOrder, RefinedOptions, RefinedResult, SequenceInfo, Tier,
+    AnalysisCtx, CertifyOptions, CoexecInfo, FinishOrder, RefinedOptions, RefinedResult,
+    SequenceInfo, Tier,
 };
 use iwa::core::obs::Counters;
-use iwa::core::{Budget, IwaError, Metrics, Sign};
+use iwa::core::{Budget, IwaError, Metrics, Sign, TraceSink};
 use iwa::frontend::{registry, Lang};
 use iwa::graphs::{BitSet, Scc};
 use iwa::reductions::{theorem2_program, theorem3_graph};
@@ -34,8 +48,9 @@ use iwa::sat::Cnf;
 use iwa::syncgraph::{PortClg, SyncGraph, B};
 use iwa::tasklang::transforms::unroll_twice;
 use iwa::tasklang::Program;
+use iwa::workloads::adversarial::rendezvous_mesh;
 use iwa::workloads::chan::{chan_ring, chan_select_storm};
-use iwa::workloads::figures::all_figures;
+use iwa::workloads::figures::{all_figures, fig1};
 use iwa::workloads::locks::{lock_chain, lock_mesh};
 use iwa::workloads::{
     random_balanced, random_conditioned, random_structured, BalancedConfig, ConditionedConfig,
@@ -44,6 +59,7 @@ use iwa::workloads::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 
 /// A flag as `(head, partner, component)`.
 type Flag = (usize, Option<usize>, Vec<usize>);
@@ -114,11 +130,17 @@ fn new_run(
 
 /// The replaced search: the same tables, then one sequential pass over
 /// the heads. Commits its counter delta only on completion, like the
-/// original.
+/// original, less the hits of the hypotheses its free refutation
+/// dismissed.
 fn old_run(sg: &SyncGraph, seeds: Option<&[usize]>, opts: &RefinedOptions, budget: Budget) -> Run {
     let mut counters = Counters::default();
-    let answer = old_refined(sg, seeds, opts, &budget).map(|(answer, delta)| {
-        counters = delta;
+    let answer = old_refined(sg, seeds, opts, &budget).map(|(answer, delta, dismissed)| {
+        counters = Counters {
+            sequenceable_hits: delta.sequenceable_hits - dismissed.sequenceable_hits,
+            coaccept_hits: delta.coaccept_hits - dismissed.coaccept_hits,
+            not_coexec_hits: delta.not_coexec_hits - dismissed.not_coexec_hits,
+            ..delta
+        };
         answer
     });
     Run {
@@ -129,12 +151,14 @@ fn old_run(sg: &SyncGraph, seeds: Option<&[usize]>, opts: &RefinedOptions, budge
     }
 }
 
+/// The answer, the counter delta, and the hits counted for hypotheses
+/// that free refutation then dismissed.
 fn old_refined(
     sg: &SyncGraph,
     seeds: Option<&[usize]>,
     opts: &RefinedOptions,
     budget: &Budget,
-) -> Result<(Answer, Counters), IwaError> {
+) -> Result<(Answer, Counters, Counters), IwaError> {
     let pg = PortClg::build(sg);
     let seq = SequenceInfo::compute(sg);
     let cx = if opts.use_condition_coexec {
@@ -168,6 +192,7 @@ fn old_refined(
         opts,
         rescued: &rescued,
         budget,
+        dismissed: RefCell::new(Counters::default()),
     };
     let mut runs = 1usize;
     let mut flagged = Vec::new();
@@ -185,7 +210,11 @@ fn old_refined(
         flagged.extend(flag);
         delta.absorb(&head_delta);
     }
-    Ok(((flagged.is_empty(), flagged, runs), delta))
+    Ok((
+        (flagged.is_empty(), flagged, runs),
+        delta,
+        search.dismissed.into_inner(),
+    ))
 }
 
 /// `COACCEPT[n]` by a scan over every rendezvous.
@@ -209,9 +238,19 @@ struct OldSearch<'a> {
     opts: &'a RefinedOptions,
     rescued: &'a [usize],
     budget: &'a Budget,
+    /// The hits of the hypotheses free refutation dismissed.
+    dismissed: RefCell<Counters>,
 }
 
 impl OldSearch<'_> {
+    /// Move the hits counted since `before` into the dismissed tally.
+    fn dismiss(&self, before: &Counters, delta: &Counters) {
+        let mut dismissed = self.dismissed.borrow_mut();
+        dismissed.sequenceable_hits += delta.sequenceable_hits - before.sequenceable_hits;
+        dismissed.coaccept_hits += delta.coaccept_hits - before.coaccept_hits;
+        dismissed.not_coexec_hits += delta.not_coexec_hits - before.not_coexec_hits;
+    }
+
     fn examine_head(&self, h: usize) -> Result<(usize, Option<Flag>, Counters), IwaError> {
         let sg = self.sg;
         self.budget.probe("refined head hypotheses")?;
@@ -251,6 +290,7 @@ impl OldSearch<'_> {
         let (sg, pg, full, opts) = (self.sg, self.pg, self.full, self.opts);
         self.budget.checkpoint("refined marked SCC search")?;
         self.budget.record_items(1);
+        let before = delta.clone();
         let n = sg.num_nodes();
         let mut sync_in_banned = BitSet::new(n);
         let mut sync_out_banned = BitSet::new(n);
@@ -316,10 +356,10 @@ impl OldSearch<'_> {
         }
         let first = witnesses[0];
         let full_comp = full.component_of(first);
-        if full.members(full_comp).len() <= 1 {
-            return Ok(None);
-        }
-        if !witnesses.iter().all(|&w| full.same_component(first, w)) {
+        if full.members(full_comp).len() <= 1
+            || !witnesses.iter().all(|&w| full.same_component(first, w))
+        {
+            self.dismiss(&before, delta);
             return Ok(None);
         }
 
@@ -656,5 +696,76 @@ fn the_search_matches_the_masked_one_when_a_ban_falls_partly_inside() {
     ] {
         let p = iwa::tasklang::parse(src).unwrap();
         check_program(&p).unwrap_or_else(|e| panic!("{src}: {e}"));
+    }
+}
+
+/// How many `sequence` and `coexec` spans a sink recorded, and the
+/// counters committed beside them.
+fn table_builds(sink: &TraceSink, metrics: &Metrics) -> (usize, usize, Counters) {
+    let events = sink.events();
+    let count = |name: &str| {
+        events
+            .iter()
+            .filter(|e| e.cat == "analysis" && e.name == name)
+            .count()
+    };
+    (count("sequence"), count("coexec"), metrics.snapshot())
+}
+
+/// `certify` and `refined_seeded` build SEQUENCEABLE and NOT-COEXEC once
+/// when some hypothesis survives free refutation, on any worker count,
+/// and not at all when the port CLG has no cycle through a head.
+#[test]
+fn the_relation_tables_are_built_only_when_a_hypothesis_survives() {
+    for workers in [1, 8] {
+        let certify = |p: &Program| {
+            let (sink, metrics) = (TraceSink::new(), Metrics::new());
+            AnalysisCtx::builder()
+                .workers(workers)
+                .trace(sink.clone())
+                .metrics(metrics.clone())
+                .build()
+                .certify(p, &CertifyOptions::default())
+                .unwrap();
+            table_builds(&sink, &metrics)
+        };
+        let seeded = |src: &str| {
+            let model = registry::by_lang(Lang::Chan).load(src).unwrap();
+            let (sg, seeds) = model.as_wait().expect("a wait-graph model").lowered();
+            let (sink, metrics) = (TraceSink::new(), Metrics::new());
+            AnalysisCtx::builder()
+                .workers(workers)
+                .trace(sink.clone())
+                .metrics(metrics.clone())
+                .build()
+                .refined_seeded(sg, seeds, &RefinedOptions::default())
+                .unwrap();
+            table_builds(&sink, &metrics)
+        };
+        // Acyclic port CLGs: every head is examined and refuted for free,
+        // so the shared pass is the only SCC run.
+        for (name, (sequence, coexec, c)) in [
+            (
+                "rendezvous_mesh(6, true)",
+                certify(&rendezvous_mesh(6, true)),
+            ),
+            (
+                "chan_select_storm(4, false)",
+                seeded(&chan_select_storm(4, false)),
+            ),
+        ] {
+            assert!(c.heads_examined > 0, "{name}: {c:?}");
+            assert_eq!(c.scc_runs, 1, "{name}");
+            assert_eq!((sequence, coexec), (0, 0), "{name}, {workers} workers");
+        }
+        // Surviving heads: one build of each table, however many heads
+        // and workers read them.
+        for (name, (sequence, coexec, c)) in [
+            ("fig1", certify(&fig1())),
+            ("chan_ring(4, false)", seeded(&chan_ring(4, false))),
+        ] {
+            assert!(c.scc_runs > 2, "{name}: {c:?}");
+            assert_eq!((sequence, coexec), (1, 1), "{name}, {workers} workers");
+        }
     }
 }
