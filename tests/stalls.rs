@@ -9,6 +9,9 @@
 //!   carried booleans forbid — see experiment E7's fig5d discussion.)
 //! * **Conservatism is real**: some `PossibleStall` answers are false
 //!   alarms, and the test suite pins one.
+//! * **Lemma 3 needs no transforms**: the §5.1 transforms leave a
+//!   straight-line program as it is, which is why stall analysis skips
+//!   them there; with and without them it answers alike.
 
 use iwa::analysis::{AnalysisCtx, StallOptions, StallReport, StallVerdict};
 
@@ -16,6 +19,7 @@ fn stall_analysis(p: &iwa::tasklang::Program, opts: &StallOptions) -> StallRepor
     AnalysisCtx::builder().build().stall(p, opts)
 }
 use iwa::syncgraph::SyncGraph;
+use iwa::tasklang::transforms::{factor_codependent, merge_branch_rendezvous};
 use iwa::wavesim::{explore, ExploreConfig};
 use iwa::workloads::{random_balanced, random_structured, BalancedConfig, StructuredConfig};
 use proptest::prelude::*;
@@ -36,8 +40,56 @@ fn check_stall_soundness(p: &iwa::tasklang::Program) -> Result<(), TestCaseError
     Ok(())
 }
 
+/// Both §5.1 transforms print a straight-line program back unchanged, and
+/// the stall report does not depend on whether they are enabled.
+fn check_transforms_skip_exactly(p: &iwa::tasklang::Program) -> Result<(), TestCaseError> {
+    prop_assert!(p.is_straight_line());
+    prop_assert_eq!(
+        factor_codependent(&merge_branch_rendezvous(p)).to_source(),
+        p.to_source()
+    );
+    let with = stall_analysis(p, &StallOptions::default());
+    let without = stall_analysis(
+        p,
+        &StallOptions {
+            apply_transforms: false,
+            ..StallOptions::default()
+        },
+    );
+    prop_assert_eq!(&with.verdict, &without.verdict);
+    prop_assert_eq!(&with.signal_counts, &without.signal_counts);
+    prop_assert_eq!(with.straight_line, without.straight_line);
+    prop_assert_eq!(with.combinations_checked, without.combinations_checked);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Straight-line programs, balanced and not: the transforms change
+    /// nothing, so skipping them changes no report.
+    #[test]
+    fn transforms_are_the_identity_on_straight_line(
+        seed in 0u64..1_000_000,
+        swaps in 0usize..10,
+        tasks in 2usize..5,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        check_transforms_skip_exactly(&random_balanced(
+            &mut rng,
+            &BalancedConfig { tasks: 3, events: 6, message_types: 2, swaps },
+        ))?;
+        check_transforms_skip_exactly(&random_structured(
+            &mut rng,
+            &StructuredConfig {
+                tasks,
+                rendezvous_per_task: 4,
+                branch_prob: 0.0,
+                loop_prob: 0.0,
+                message_types: 2,
+            },
+        ))?;
+    }
 
     /// Balanced straight-line programs: Lemma 3 certifies them all, and
     /// indeed no wave ever contains a stall node (deadlocks may occur).
