@@ -127,10 +127,16 @@ pub fn rendezvous_mesh(n: usize, ordered: bool) -> Program {
 /// say so, which is exactly what its path budget is for.
 #[must_use]
 pub fn wide_branch(width: usize) -> Program {
-    assert!(width >= 1, "need at least one conditional");
     let mut b = ProgramBuilder::new();
-    let chooser = b.task("chooser");
-    let matcher = b.task("matcher");
+    wide_branch_tasks(&mut b, "chooser", "matcher", width);
+    b.build()
+}
+
+/// Add [`wide_branch`]'s two tasks to `b` under the given names.
+fn wide_branch_tasks(b: &mut ProgramBuilder, chooser: &str, matcher: &str, width: usize) {
+    assert!(width >= 1, "need at least one conditional");
+    let chooser = b.task(chooser);
+    let matcher = b.task(matcher);
     let signals: Vec<(SignalId, SignalId)> = (0..width)
         .map(|k| {
             (
@@ -139,9 +145,8 @@ pub fn wide_branch(width: usize) -> Program {
             )
         })
         .collect();
-    let sigs = signals.clone();
     b.body(chooser, |t| {
-        for &(l, r) in &sigs {
+        for &(l, r) in &signals {
             t.if_else(|then| { then.send(l); }, |els| { els.send(r); });
         }
     });
@@ -150,7 +155,6 @@ pub fn wide_branch(width: usize) -> Program {
             t.if_else(|then| { then.accept(l); }, |els| { els.accept(r); });
         }
     });
-    b.build()
 }
 
 #[cfg(test)]
@@ -219,6 +223,48 @@ mod tests {
             "got {:?}",
             r.verdict
         );
+    }
+
+    /// `pairs` copies of [`wide_branch`]`(width)`'s chooser and matcher.
+    fn wide_branch_pairs(pairs: usize, width: usize) -> Program {
+        let mut b = ProgramBuilder::new();
+        for i in 0..pairs {
+            let (chooser, matcher) = (format!("chooser{i}"), format!("matcher{i}"));
+            wide_branch_tasks(&mut b, &chooser, &matcher, width);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn path_combinations_past_usize_abstain() {
+        let stall = |p: &Program| {
+            iwa_analysis::AnalysisCtx::builder()
+                .build()
+                .stall(p, &iwa_analysis::StallOptions::default())
+        };
+        // Six tasks of 1 024 signatures each: 2^60 combinations, over the
+        // budget and counted.
+        let r = stall(&wide_branch_pairs(3, 10));
+        assert_eq!(
+            r.verdict,
+            iwa_analysis::StallVerdict::Unknown {
+                reason: format!(
+                    "{} path combinations exceed the budget of 65536",
+                    1u64 << 60
+                ),
+            }
+        );
+        // Eight: 2^80 overflows the product, which must neither panic nor
+        // wrap to a count under the budget.
+        let r = stall(&wide_branch_pairs(4, 10));
+        assert_eq!(
+            r.verdict,
+            iwa_analysis::StallVerdict::Unknown {
+                reason: "the path combinations overflow usize and exceed the budget of 65536"
+                    .into(),
+            }
+        );
+        assert_eq!(r.combinations_checked, 0);
     }
 
     #[test]
