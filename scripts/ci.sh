@@ -158,6 +158,10 @@ for f in corpus/*.iwa corpus/locks/*.lok corpus/channels/*.chan; do
 done
 echo "$checked corpus files answered as their headers expect"
 
+# Every fixture and corpus file, for the graph and analyze stages below.
+specs="$(./target/release/iwa fixtures | cut -d' ' -f1)
+$(echo corpus/*.iwa corpus/lints/*.iwa corpus/locks/*.lok corpus/channels/*.chan)"
+
 echo "==> graph goldens: iwa graph and iwa graph --clg on every fixture and corpus file"
 # Each input's DOT under a `// <input>` header, diffed byte-for-byte
 # against tests/golden/graph_sync.dot and tests/golden/graph_clg.dot. To
@@ -166,8 +170,7 @@ echo "==> graph goldens: iwa graph and iwa graph --clg on every fixture and corp
 for flag in "" --clg; do
     golden=tests/golden/graph_sync.dot
     [ -z "$flag" ] || golden=tests/golden/graph_clg.dot
-    for spec in $(./target/release/iwa fixtures | cut -d' ' -f1) \
-        corpus/*.iwa corpus/lints/*.iwa corpus/locks/*.lok corpus/channels/*.chan; do
+    for spec in $specs; do
         echo "// $spec"
         ./target/release/iwa graph "$spec" $flag
     done > "$tmpdir/graph.dot"
@@ -186,8 +189,7 @@ echo "==> analyze goldens: every refined rung and the naive floor on every fixtu
 {
     echo "["
     sep=""
-    for spec in $(./target/release/iwa fixtures | cut -d' ' -f1) \
-        corpus/*.iwa corpus/lints/*.iwa corpus/locks/*.lok corpus/channels/*.chan; do
+    for spec in $specs; do
         for start in headtails pairs heads naive; do
             status=0
             ./target/release/iwa analyze "$spec" --json --start "$start" \
@@ -210,6 +212,31 @@ echo "==> analyze goldens: every refined rung and the naive floor on every fixtu
     echo "]"
 } > "$tmpdir/analyze_rungs.json"
 diff tests/golden/analyze_rungs.json "$tmpdir/analyze_rungs.json"
+
+echo "==> analyze -j determinism: every refined rung agrees at -j 1/2/8"
+# The golden above runs each rung on one worker. With more, the per-head
+# search fans out across workers and the relation tables are built by
+# whichever worker first reads them; the masked reports must not change.
+for j in 1 2 8; do
+    for spec in $specs; do
+        for start in headtails pairs heads; do
+            status=0
+            ./target/release/iwa analyze "$spec" --json --start "$start" \
+                --max-steps 200000 -j "$j" > "$tmpdir/rung.json" || status=$?
+            case "$status" in
+                0 | 1 | 3) ;;
+                *)
+                    echo "iwa analyze $spec --start $start -j $j exited $status" >&2
+                    exit 1
+                    ;;
+            esac
+            echo "// $spec --start $start: exit $status"
+            sed "$mask" "$tmpdir/rung.json"
+        done
+    done > "$tmpdir/rungs-j$j.txt"
+done
+diff "$tmpdir/rungs-j1.txt" "$tmpdir/rungs-j2.txt"
+diff "$tmpdir/rungs-j1.txt" "$tmpdir/rungs-j8.txt"
 
 echo "==> serve smoke: the daemon routes .lok and .chan requests through their frontends"
 cargo test -q -p iwa-serve --test serve lok_requests_route_through_the_lock_frontend
