@@ -23,7 +23,7 @@ use iwa_core::obs::Counters;
 use iwa_core::IwaError;
 use iwa_syncgraph::SyncGraph;
 use iwa_tasklang::transforms::{inline_procs, unroll_twice};
-use iwa_tasklang::validate::{check_model, model_warnings, Warning};
+use iwa_tasklang::validate::check_model;
 use iwa_tasklang::Program;
 
 /// Options for [`AnalysisCtx::certify`].
@@ -38,8 +38,6 @@ pub struct CertifyOptions {
 /// Everything the driver learned about a program.
 #[derive(Clone, Debug)]
 pub struct Certificate {
-    /// Model warnings from validation.
-    pub warnings: Vec<Warning>,
     /// Whether procedure inlining was applied (interprocedural model).
     pub was_inlined: bool,
     /// Whether Lemma 1 unrolling was applied before deadlock analysis.
@@ -93,7 +91,6 @@ pub(crate) fn certify_impl(
         let _span = ctx.span("pipeline", "validate");
         check_model(p)?;
     }
-    let warnings = model_warnings(p);
     ctx.budget().probe("certify pipeline")?;
 
     // Interprocedural model (the paper's deferred extension): inline the
@@ -161,7 +158,6 @@ pub(crate) fn certify_impl(
     }
 
     Ok(Certificate {
-        warnings,
         was_inlined,
         was_unrolled,
         sg,
@@ -193,7 +189,6 @@ mod tests {
         );
         assert!(c.anomaly_free());
         assert!(!c.was_unrolled);
-        assert!(c.warnings.is_empty());
         assert!(c.naive.deadlock_free);
     }
 

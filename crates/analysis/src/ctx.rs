@@ -200,13 +200,6 @@ impl AnalysisCtx {
         }
     }
 
-    /// Record scheduling-dependent pool steals, if metrics are on.
-    pub fn record_steals(&self, n: u64) {
-        if let Some(m) = &self.metrics {
-            m.record_steals(n);
-        }
-    }
-
     /// Run the full certification pipeline (validate → inline → unroll →
     /// naive → refined → stall) on `p`. See
     /// [`Certificate`] for what the driver learns.

@@ -358,13 +358,9 @@ fn search_heads(
     let mut search_span = ctx
         .span("analysis", "head search")
         .map(|s| s.arg("heads", heads.len() as u64));
-    let (outcomes, pool_stats) = pool::try_map_stats(ctx.num_workers(), heads.len(), |i| {
+    let outcomes = pool::try_map(ctx.num_workers(), heads.len(), |i| {
         search.examine_head(heads[i])
-    });
-    // Steal counts are scheduling-dependent by nature; recording them
-    // even for a tripped run keeps the quarantined sched stats honest.
-    ctx.record_steals(pool_stats.steals);
-    let outcomes: Vec<HeadOutcome> = outcomes?;
+    })?;
 
     let mut runs = 1usize; // the shared full pass
     let mut flagged = Vec::new();
@@ -372,7 +368,7 @@ fn search_heads(
         clg_nodes: pg.clg_nodes() as u64,
         clg_edges: pg.clg_edges() as u64,
         constraint4_rescues: rescued.len() as u64,
-        pool_tasks: pool_stats.tasks,
+        pool_tasks: heads.len() as u64,
         scc_runs: 1,
         ..Counters::default()
     };

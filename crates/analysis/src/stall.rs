@@ -120,7 +120,6 @@ fn task_path_signatures(
     opts: &StallOptions,
     budget: &Budget,
 ) -> Result<Vec<Vec<Vec<i64>>>, IwaError> {
-    let started = std::time::Instant::now();
     let nsig = p.symbols.num_signals();
     let cfgs = ProgramCfg::build(p);
     let mut all = Vec::with_capacity(cfgs.tasks.len());
@@ -166,11 +165,6 @@ fn task_path_signatures(
                                 limit: opts.max_paths_per_task,
                                 steps: 0,
                                 items: sigs.len(),
-                                elapsed_ms: started
-                                    .elapsed()
-                                    .as_millis()
-                                    .try_into()
-                                    .unwrap_or(u64::MAX),
                                 degraded: false,
                             });
                         }

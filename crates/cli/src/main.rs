@@ -312,8 +312,8 @@ fn parse_failure(path: &str, src: &str, e: &IwaError) -> String {
 
 /// `iwa analyze`: one pipeline for every language. Load the model, run
 /// the engine ladder on the defaults `iwa check` uses, and print the
-/// ladder report — plus, as text, the model's warnings and the lints of
-/// check's quick stage (`.lok`/`.chan` witness chains among them).
+/// ladder report — plus, as text, the lints of check's quick stage
+/// (`.lok`/`.chan` witness chains among them).
 fn analyze(args: &[String]) -> Result<ExitCode, String> {
     let mut transforms = true;
     let mut trace_out = None;
@@ -354,9 +354,6 @@ fn analyze(args: &[String]) -> Result<ExitCode, String> {
         print_json(&report)?;
     } else {
         print_engine_report(spec, &report);
-        for w in &model.warnings {
-            outln!("warning   : {w}");
-        }
         let ctx = AnalysisCtx::builder().build();
         let passes = LintStage::Quick.passes(model.lang);
         let diags = lint_model(&ctx, &model, &LintConfig::default(), &passes)
@@ -485,14 +482,16 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
     let summary = iwa_engine::check_batch(
         &sources.files,
         &CheckOptions {
-            engine: common.engine_options(),
+            engine: EngineOptions {
+                faults,
+                ..common.engine_options()
+            },
             jobs: common.jobs(),
             batch_deadline: None,
             // Surface the AST-level lints (the old validate warnings)
             // with every batch check; graph lints stay behind `iwa lint`.
             lint: LintStage::Quick,
             lint_config: LintConfig::default(),
-            faults,
             retry: iwa_engine::RetryPolicy::with_attempts(retries.max(1)),
             lang: common.lang,
             skipped: sources

@@ -292,8 +292,8 @@ fn check_output_is_byte_identical_for_any_job_count() {
     let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
     let corpus = corpus.to_str().unwrap();
     // A step budget (not a wall-clock one) keeps trip-vs-complete
-    // deterministic regardless of scheduling. Timings and steal counts are
-    // the only legitimate run-to-run variation; `masked` zeroes them.
+    // deterministic regardless of scheduling. Timings are the only
+    // legitimate run-to-run variation; `masked` zeroes them.
     let run = |jobs: &str| {
         let (out, err, code) =
             iwa(&["check", corpus, "--json", "--max-steps", "200000", "-j", jobs]);

@@ -227,7 +227,6 @@ impl Budget {
             limit,
             steps: self.steps(),
             items: self.items() as usize,
-            elapsed_ms: self.elapsed().as_millis().try_into().unwrap_or(u64::MAX),
             degraded: false,
         }
     }
@@ -316,6 +315,20 @@ mod tests {
         }
         assert!(b.checkpoint("w").is_err());
         assert!(b.is_limited());
+    }
+
+    #[test]
+    fn a_step_trip_reads_the_same_however_late_it_comes() {
+        let trip = |delay: Duration| {
+            let b = Budget::with_max_steps(3);
+            b.record_items(2);
+            std::thread::sleep(delay);
+            (0..=3)
+                .find_map(|_| b.checkpoint("work").err())
+                .expect("the fourth step trips")
+                .to_string()
+        };
+        assert_eq!(trip(Duration::from_millis(5)), trip(Duration::ZERO));
     }
 
     #[test]

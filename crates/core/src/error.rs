@@ -40,8 +40,6 @@ pub enum IwaError {
         /// Domain items enumerated before stopping (states visited,
         /// cycles found, paths walked — whatever the analysis counts).
         items: usize,
-        /// Wall-clock milliseconds elapsed before stopping.
-        elapsed_ms: u64,
         /// `true` when a degraded (lower-precision) result was still
         /// produced despite this budget trip; `false` when the analysis
         /// stopped with no usable verdict.
@@ -65,13 +63,11 @@ impl fmt::Display for IwaError {
                 limit,
                 steps,
                 items,
-                elapsed_ms,
                 degraded,
             } => {
                 write!(
                     f,
-                    "budget exceeded while {what} (limit {limit}; \
-                     {steps} steps, {items} items, {elapsed_ms} ms elapsed"
+                    "budget exceeded while {what} (limit {limit}; {steps} steps, {items} items"
                 )?;
                 if *degraded {
                     write!(f, "; degraded result produced")?;
@@ -88,6 +84,20 @@ impl std::error::Error for IwaError {}
 impl From<std::io::Error> for IwaError {
     fn from(e: std::io::Error) -> Self {
         IwaError::Io(e.to_string())
+    }
+}
+
+/// The message of a caught panic: the payload's text when it is a string,
+/// a fixed note otherwise. Pass the payload's contents (`payload.as_ref()`
+/// on the `Box` that [`std::panic::catch_unwind`] returns), not the box.
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_owned()
     }
 }
 
@@ -110,24 +120,31 @@ mod tests {
             limit: 10,
             steps: 1234,
             items: 56,
-            elapsed_ms: 78,
             degraded: false,
         };
-        let msg = b.to_string();
-        assert!(msg.contains("limit 10"));
-        assert!(msg.contains("1234 steps"));
-        assert!(msg.contains("56 items"));
-        assert!(msg.contains("78 ms"));
-        assert!(!msg.contains("degraded"));
+        assert_eq!(
+            b.to_string(),
+            "budget exceeded while exploring waves (limit 10; 1234 steps, 56 items)"
+        );
         let d = IwaError::BudgetExceeded {
             what: "refining".into(),
             limit: 5,
             steps: 0,
             items: 0,
-            elapsed_ms: 0,
             degraded: true,
         };
         assert!(d.to_string().contains("degraded result produced"));
+    }
+
+    #[test]
+    fn panic_messages_read_string_payloads() {
+        let msg = |f: fn()| panic_message(std::panic::catch_unwind(f).unwrap_err().as_ref());
+        assert_eq!(msg(|| panic!("static text")), "static text");
+        assert_eq!(msg(|| panic!("formatted {}", 7)), "formatted 7");
+        assert_eq!(
+            msg(|| std::panic::panic_any(7_u8)),
+            "panic with non-string payload"
+        );
     }
 
     #[test]

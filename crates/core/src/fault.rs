@@ -317,7 +317,6 @@ impl FaultPlan {
                 limit: 0,
                 steps: 0,
                 items: 0,
-                elapsed_ms: 0,
                 degraded: false,
             }),
         }

@@ -29,9 +29,9 @@ pub mod span;
 pub mod symbols;
 
 pub use budget::{Budget, CancelToken};
-pub use error::IwaError;
+pub use error::{panic_message, IwaError};
 pub use fault::{FaultAction, FaultPlan, FaultSite};
-pub use obs::{Counters, Meta, Metrics, SchedStats, SpanGuard, TraceSink};
+pub use obs::{Counters, Meta, Metrics, SpanGuard, TraceSink};
 pub use span::Span;
 pub use symbols::Symbols;
 

@@ -9,9 +9,8 @@
 //!
 //! * [`TraceSink`] records hierarchical **phase spans** (parse → cfg →
 //!   syncgraph → CLG → per-head refined search → stall analysis) with
-//!   wall-time and per-span counters, exportable as human-readable text,
-//!   plain JSON, and the Chrome `trace_event` format that
-//!   `about:tracing` / Perfetto load directly.
+//!   wall-time and per-span counters, exportable in the Chrome
+//!   `trace_event` format that `about:tracing` / Perfetto load directly.
 //! * [`Metrics`] accumulates a **deterministic** counter set
 //!   ([`Counters`]): graph sizes, CLG cycles enumerated, pruning-rule
 //!   hit counts per rule, degradation-ladder rungs abandoned, pool
@@ -19,9 +18,9 @@
 //!   local [`Counters`] delta and [`Metrics::commit`] it only when the
 //!   whole analysis call completes, so a budget-tripped attempt
 //!   contributes exactly zero and the totals are byte-identical for any
-//!   worker count. Scheduling-sensitive observations (work-stealing
-//!   steal counts) are quarantined in [`SchedStats`], which determinism
-//!   tests mask alongside wall-clock timings.
+//!   worker count. Nothing scheduling-dependent is recorded, so the
+//!   wall-clock fields of a report are the only ones that vary between
+//!   runs.
 //!
 //! Both sinks are cheap handles (`Arc` inside); cloning one shares the
 //! underlying buffer, which is how a single sink observes every phase of
@@ -80,8 +79,8 @@ pub struct Counters {
     pub exact_cycles: u64,
     /// Degradation-ladder rungs abandoned before one produced a verdict.
     pub ladder_rungs_abandoned: u64,
-    /// Indices fanned out across the worker pool (deterministic width;
-    /// see [`SchedStats::pool_steals`] for the scheduling-dependent part).
+    /// Indices fanned out across the worker pool (the fan-out width,
+    /// whatever the worker count).
     pub pool_tasks: u64,
     /// Transient io-error attempts retried by `check_batch`'s bounded
     /// retry policy (zero unless retries are enabled).
@@ -138,33 +137,15 @@ impl Counters {
     }
 }
 
-/// Scheduling-sensitive observations — real, useful, and **not**
-/// deterministic. Kept apart from [`Counters`] so determinism tests can
-/// mask this block wholesale, the way they mask `elapsed_ms`.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct SchedStats {
-    /// Successful work-steals observed across all pool fan-outs.
-    pub pool_steals: u64,
-}
-
 /// The `meta` block embedded in every versioned JSON report
-/// (`EngineReport`, `CheckSummary`): deterministic
-/// counters plus quarantined scheduling stats.
+/// (`EngineReport`, `CheckSummary`).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct Meta {
     /// Deterministic counters — byte-identical across worker counts.
     pub metrics: Counters,
-    /// Scheduling-dependent stats — masked by determinism tests.
-    pub sched: SchedStats,
 }
 
-#[derive(Debug, Default)]
-struct MetricsInner {
-    counters: Counters,
-    sched: SchedStats,
-}
-
-/// A shared, thread-safe accumulator for [`Counters`] and [`SchedStats`].
+/// A shared, thread-safe accumulator for [`Counters`].
 ///
 /// Cheap to clone (an `Arc` handle); all clones feed the same totals.
 /// Analyses follow the **commit-on-completion** discipline: build a
@@ -174,7 +155,7 @@ struct MetricsInner {
 /// counts into the totals.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
-    inner: Arc<Mutex<MetricsInner>>,
+    inner: Arc<Mutex<Counters>>,
 }
 
 impl Metrics {
@@ -184,43 +165,26 @@ impl Metrics {
         Metrics::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsInner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Counters> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Fold a completed analysis's counter delta into the totals.
     pub fn commit(&self, delta: &Counters) {
-        self.lock().counters.absorb(delta);
-    }
-
-    /// Record scheduling-dependent pool steals (any time; these are
-    /// masked by determinism tests, so partial counts are harmless).
-    pub fn record_steals(&self, n: u64) {
-        if n > 0 {
-            let mut g = self.lock();
-            g.sched.pool_steals = g.sched.pool_steals.saturating_add(n);
-        }
+        self.lock().absorb(delta);
     }
 
     /// A copy of the deterministic totals so far.
     #[must_use]
     pub fn snapshot(&self) -> Counters {
-        self.lock().counters.clone()
-    }
-
-    /// A copy of the scheduling-dependent totals so far.
-    #[must_use]
-    pub fn sched(&self) -> SchedStats {
-        self.lock().sched.clone()
+        self.lock().clone()
     }
 
     /// Package the totals as a report-ready [`Meta`] block.
     #[must_use]
     pub fn meta(&self) -> Meta {
-        let g = self.lock();
         Meta {
-            metrics: g.counters.clone(),
-            sched: g.sched.clone(),
+            metrics: self.snapshot(),
         }
     }
 }
@@ -262,8 +226,8 @@ struct TraceInner {
 /// with one shared epoch, so spans from every crate in the pipeline
 /// land on a single timeline. Spans are recorded when their
 /// [`SpanGuard`] drops, and nest naturally: a guard held across child
-/// spans contains them in time, which is exactly the containment the
-/// text renderer and Chrome's flame view reconstruct.
+/// spans contains them in time, which is exactly the containment
+/// Chrome's flame view reconstructs.
 #[derive(Clone, Debug)]
 pub struct TraceSink {
     inner: Arc<TraceInner>,
@@ -365,65 +329,6 @@ impl TraceSink {
             .collect();
         Value::Object(vec![("traceEvents".into(), Value::Array(events))])
     }
-
-    /// The spans as plain JSON (`{"spans": [...]}`), for tooling that
-    /// wants the raw data without the Chrome envelope.
-    #[must_use]
-    pub fn to_json(&self) -> Value {
-        let spans = self
-            .events()
-            .into_iter()
-            .map(|ev| {
-                Value::Object(vec![
-                    ("cat".into(), Value::String(ev.cat.to_owned())),
-                    ("name".into(), Value::String(ev.name)),
-                    ("start_us".into(), ev.start_us.to_value()),
-                    ("dur_us".into(), ev.dur_us.to_value()),
-                    ("tid".into(), ev.tid.to_value()),
-                    (
-                        "args".into(),
-                        Value::Object(
-                            ev.args
-                                .iter()
-                                .map(|&(k, v)| (k.to_owned(), v.to_value()))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        Value::Object(vec![("spans".into(), Value::Array(spans))])
-    }
-
-    /// A human-readable indented tree, one block per thread, nesting
-    /// reconstructed from time containment.
-    #[must_use]
-    pub fn render_text(&self) -> String {
-        let events = self.events();
-        let mut tids: Vec<u64> = events.iter().map(|e| e.tid).collect();
-        tids.sort_unstable();
-        tids.dedup();
-        let mut out = String::new();
-        for tid in tids {
-            out.push_str(&format!("thread {tid}\n"));
-            // Events are sorted by start with containing spans first, so
-            // a stack of end-times yields the nesting depth directly.
-            let mut ends: Vec<u64> = Vec::new();
-            for ev in events.iter().filter(|e| e.tid == tid) {
-                while ends.last().is_some_and(|&end| ev.start_us >= end) {
-                    ends.pop();
-                }
-                let indent = "  ".repeat(ends.len() + 1);
-                out.push_str(&format!("{indent}{}:{} {}us", ev.cat, ev.name, ev.dur_us));
-                for (k, v) in &ev.args {
-                    out.push_str(&format!(" {k}={v}"));
-                }
-                out.push('\n');
-                ends.push(ev.start_us + ev.dur_us);
-            }
-        }
-        out
-    }
 }
 
 /// An open phase span; records itself into its [`TraceSink`] on drop.
@@ -509,21 +414,17 @@ mod tests {
             pool_tasks: 7,
             ..Counters::default()
         });
-        m2.record_steals(2);
         let snap = m.snapshot();
         assert_eq!(snap.clg_cycles, 7);
         assert_eq!(snap.pool_tasks, 7);
-        assert_eq!(m.sched().pool_steals, 2);
-        let meta = m.meta();
-        assert_eq!(meta.metrics, snap);
-        assert_eq!(meta.sched.pool_steals, 2);
+        assert_eq!(m.meta().metrics, snap);
     }
 
     #[test]
     fn meta_serializes_with_stable_field_order() {
         let json = serde_json::to_string(&Meta::default()).unwrap();
         assert!(json.starts_with("{\"metrics\":{\"sg_nodes\":0"), "{json}");
-        assert!(json.contains("\"sched\":{\"pool_steals\":0}"), "{json}");
+        assert!(json.ends_with("\"io_retries\":0}}"), "{json}");
     }
 
     #[test]
@@ -557,25 +458,6 @@ mod tests {
         // The rendered document must be valid JSON.
         let text = serde_json::to_string_pretty(&doc).unwrap();
         serde_json::from_str(&text).expect("chrome trace is valid JSON");
-    }
-
-    #[test]
-    fn text_rendering_nests_contained_spans() {
-        let sink = TraceSink::new();
-        {
-            let _outer = sink.span("p", "outer");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            drop(sink.span("p", "inner"));
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let text = sink.render_text();
-        let outer_line = text.lines().find(|l| l.contains("p:outer")).unwrap();
-        let inner_line = text.lines().find(|l| l.contains("p:inner")).unwrap();
-        let lead = |l: &str| l.len() - l.trim_start().len();
-        assert!(
-            lead(inner_line) > lead(outer_line),
-            "inner must indent deeper:\n{text}"
-        );
     }
 
     #[test]

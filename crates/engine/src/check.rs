@@ -11,8 +11,8 @@
 //! [exit-code contract](CheckSummary::exit_code).
 //!
 //! For end-to-end tests of the isolation machinery the driver honours
-//! structured [`FaultPlan`]s ([`CheckOptions::faults`], or the
-//! `IWA_FAULT_PLAN` environment variable): rules fire at the
+//! structured [`FaultPlan`]s (`engine.faults` in [`CheckOptions`], or
+//! the `IWA_FAULT_PLAN` environment variable): rules fire at the
 //! `check-file` site (label: the file path) before the file is read and
 //! at the `parse` site before it is parsed, on top of the rung-level
 //! sites the engine ladder fires itself.
@@ -20,7 +20,7 @@
 use crate::ladder::{analyze_model, EngineOptions, EngineReport, EngineVerdict, Rung, SCHEMA_VERSION};
 use iwa_core::fault::{FaultPlan, FaultSite};
 use iwa_core::obs::{Counters, Meta};
-use iwa_core::{pool, Budget, IwaError};
+use iwa_core::{panic_message, pool, Budget, IwaError};
 use iwa_frontend::{registry as frontends, Lang};
 use iwa_lint::{lint_model, quick_registry, registry_for, Diagnostic, LintConfig, LintPass};
 use serde::Serialize;
@@ -128,6 +128,9 @@ pub struct CheckOptions {
     /// Per-file engine options. A `deadline` here applies to each file
     /// separately; a `cancel` token is shared with every worker (one is
     /// created when absent, so the batch deadline can trip everyone).
+    /// A `faults` plan (or, when it is `None`, the `IWA_FAULT_PLAN`
+    /// environment variable) is shared by every file and also fires at
+    /// the batch's `check-file` and `parse` sites.
     pub engine: EngineOptions,
     /// Worker threads for the file fan-out. `0` means one per available
     /// core; `1`/default runs sequentially. Inner analyses stay
@@ -142,11 +145,6 @@ pub struct CheckOptions {
     pub lint: LintStage,
     /// Severity configuration for the lint stage.
     pub lint_config: LintConfig,
-    /// Structured fault plan for chaos testing. `None` (the default)
-    /// falls back to the `IWA_FAULT_PLAN` environment variable. The plan
-    /// is also threaded into each file's engine options so rung-level
-    /// sites fire.
-    pub faults: Option<FaultPlan>,
     /// Bounded retry policy for transient `io-error` outcomes; the
     /// default (1 attempt) disables retries. Retries are counted in
     /// [`Counters::io_retries`].
@@ -189,9 +187,8 @@ pub struct CheckSummary {
     pub skipped: Vec<String>,
     /// Wall-clock milliseconds for the whole run.
     pub elapsed_ms: u64,
-    /// Deterministic analysis counters plus scheduling stats, summed over
-    /// every file in the batch. The counter half is byte-identical for any
-    /// [`jobs`](CheckOptions::jobs) value; only `sched` varies.
+    /// Deterministic analysis counters, summed over every file in the
+    /// batch: byte-identical for any [`jobs`](CheckOptions::jobs) value.
     pub meta: Meta,
 }
 
@@ -301,12 +298,12 @@ pub fn check_batch(paths: &[PathBuf], opts: &CheckOptions) -> CheckSummary {
     // count one global hit sequence. A malformed env spec is ignored here —
     // the CLI validates and reports it before ever reaching the batch.
     let faults = opts
+        .engine
         .faults
         .clone()
-        .or_else(|| opts.engine.faults.clone())
         .or_else(|| FaultPlan::from_env().ok().flatten());
 
-    let (files, stats) = pool::try_map_stats(opts.jobs, paths.len(), |i| {
+    let files = pool::try_map(opts.jobs, paths.len(), |i| {
         let mut eopts = opts.engine.clone();
         eopts.cancel = Some(cancel.clone());
         eopts.metrics = Some(metrics.clone());
@@ -327,7 +324,6 @@ pub fn check_batch(paths: &[PathBuf], opts: &CheckOptions) -> CheckSummary {
         ))
     });
     let files: Vec<FileOutcome> = files.expect("per-file closure is infallible");
-    metrics.record_steals(stats.steals);
 
     let count = |f: &dyn Fn(&FileOutcome) -> bool| files.iter().filter(|o| f(o)).count();
     CheckSummary {
@@ -475,15 +471,5 @@ fn check_one(
         elapsed_ms,
         error,
         diagnostics,
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_owned()
     }
 }

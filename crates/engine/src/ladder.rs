@@ -57,8 +57,10 @@ use std::time::Duration;
 /// dispatch — `lang` on [`FileOutcome`](crate::check::FileOutcome) and
 /// the `skipped` list on [`CheckSummary`](crate::check::CheckSummary);
 /// `6` made [`EngineReport`] the CLI's one `iwa analyze --json` shape
-/// for every language (the tasklang-only single-tier report is gone).
-pub const SCHEMA_VERSION: u32 = 6;
+/// for every language (the tasklang-only single-tier report is gone);
+/// `7` removed the scheduling-dependent `meta.sched` block, so `meta`
+/// holds only the deterministic `metrics` counters.
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// One rung of the degradation ladder, most precise first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
@@ -234,8 +236,8 @@ pub struct EngineReport {
     pub flagged: Vec<String>,
     /// Total wall-clock milliseconds across the whole ladder.
     pub elapsed_ms: u64,
-    /// Deterministic analysis counters plus scheduling stats for this run
-    /// (only this run's deltas when the caller supplied no shared
+    /// Deterministic analysis counters for this run (only this run's
+    /// deltas when the caller supplied no shared
     /// [`EngineOptions::metrics`]; cumulative totals otherwise).
     pub meta: Meta,
 }

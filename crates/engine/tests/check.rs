@@ -155,7 +155,10 @@ fn injected_panics_are_isolated_and_the_run_continues() {
     let summary = check_batch(
         &collect_files(&dir).unwrap(),
         &CheckOptions {
-            faults: Some(faults),
+            engine: EngineOptions {
+                faults: Some(faults),
+                ..EngineOptions::default()
+            },
             ..CheckOptions::default()
         },
     );
@@ -211,8 +214,8 @@ fn summaries_serialize_to_json_with_a_schema_version() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Serialize a summary with every wall-clock and scheduler-dependent
-/// field zeroed, so runs can be compared across job counts.
+/// Serialize a summary with every wall-clock field zeroed, so runs can
+/// be compared across job counts.
 fn masked_json(summary: &iwa_engine::CheckSummary) -> String {
     iwa_testsupport::masked(&serde_json::to_string_pretty(summary).unwrap())
 }
@@ -334,7 +337,7 @@ fn the_json_schema_is_pinned() {
     );
     assert_eq!(
         keys(&v["meta"]),
-        ["metrics", "sched"],
+        ["metrics"],
         "Meta changed shape: bump SCHEMA_VERSION and update this test"
     );
     assert_eq!(

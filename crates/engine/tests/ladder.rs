@@ -314,3 +314,30 @@ fn reports_serialize_to_json() {
     assert!(json.contains("\"rung\":\"Oracle\""));
     assert!(json.contains("\"degraded\":false"));
 }
+
+#[test]
+fn two_step_tripped_runs_give_one_masked_report() {
+    // Four pairs four loops deep under 4 000 steps: in a debug build the
+    // HeadTails and HeadPairs rungs each run for several milliseconds
+    // before they trip their step slice, so a clock reading anywhere but
+    // the masked timing fields would make the two reports differ.
+    let p = deep_loop_nest(4, 4);
+    let run = || {
+        let r = analyze(
+            &p,
+            &EngineOptions {
+                start: Rung::HeadTails,
+                max_steps: Some(4_000),
+                ..EngineOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(
+            r.attempts.iter().any(|a| a.outcome == "budget-exceeded"),
+            "a refined rung trips: {:?}",
+            r.attempts
+        );
+        iwa_testsupport::masked(&serde_json::to_string(&r).unwrap())
+    };
+    assert_eq!(run(), run());
+}

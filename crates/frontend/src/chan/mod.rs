@@ -151,11 +151,6 @@ impl Frontend for ChanFrontend {
         let program = parse_chan(src)?;
         let effects = ChanEffects::compute(&program);
         let comm_graph = CommGraph::build(&program, &effects);
-        let warnings = effects
-            .issues
-            .iter()
-            .map(|i| comm_graph.render_issue(i))
-            .collect();
         let cycles = comm_graph.wait.cycles();
         let livelocks = livelock::find_livelocks(&program, &effects);
         let (sg, wait_points) = comm_graph.wait.lower();
@@ -170,7 +165,6 @@ impl Frontend for ChanFrontend {
                 sg,
                 wait_points,
             })),
-            warnings,
         })
     }
 }

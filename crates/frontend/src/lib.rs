@@ -8,8 +8,8 @@
 //!
 //! * **parse** — source text to a language AST, with spans and the shared
 //!   [`IwaError::Parse`](iwa_core::IwaError) error shape;
-//! * **validate** — model checks that reject un-analysable programs plus
-//!   warnings for suspicious-but-analysable ones;
+//! * **validate** — model checks that reject un-analysable programs
+//!   (suspicious-but-analysable patterns are the lints' business);
 //! * **lower** — the AST to the paper's sync graph (and whatever
 //!   language-level IR the lints and reports need alongside it).
 //!
@@ -106,17 +106,15 @@ pub enum ModelIr {
     Chan(Box<ChanModel>),
 }
 
-/// What a [`Frontend::load`] produces: the language IR plus the
-/// validation warnings the load surfaced (rendered; analysable programs
-/// only — hard model violations are `Err`s).
+/// What a [`Frontend::load`] produces: the language IR of an analysable
+/// program (hard model violations are `Err`s). Suspicious-but-analysable
+/// patterns are reported by the lints, which read this IR.
 #[derive(Clone, Debug)]
 pub struct LoadedModel {
     /// Which frontend produced this model.
     pub lang: Lang,
     /// The language-level IR.
     pub ir: ModelIr,
-    /// Rendered validation warnings (suspicious but analysable).
-    pub warnings: Vec<String>,
 }
 
 impl LoadedModel {
@@ -125,14 +123,9 @@ impl LoadedModel {
     /// for programs built in memory (the CLI's `fixture:` programs).
     pub fn from_program(p: Program) -> Result<LoadedModel, IwaError> {
         iwa_tasklang::validate::check_model(&p)?;
-        let warnings = iwa_tasklang::validate::model_warnings(&p)
-            .iter()
-            .map(render_tasklang_warning)
-            .collect();
         Ok(LoadedModel {
             lang: Lang::Tasklang,
             ir: ModelIr::Tasklang(p),
-            warnings,
         })
     }
 
@@ -206,8 +199,7 @@ pub trait Frontend: Sync {
     fn description(&self) -> &'static str;
 
     /// Parse, validate, and lower `src`. `Err` means the model cannot be
-    /// analysed (syntax error or hard model violation); warnings ride on
-    /// the `Ok` model.
+    /// analysed (syntax error or hard model violation).
     fn load(&self, src: &str) -> Result<LoadedModel, IwaError>;
 }
 
@@ -230,23 +222,6 @@ impl Frontend for TasklangFrontend {
 
     fn load(&self, src: &str) -> Result<LoadedModel, IwaError> {
         LoadedModel::from_program(iwa_tasklang::parse(src)?)
-    }
-}
-
-fn render_tasklang_warning(w: &iwa_tasklang::validate::Warning) -> String {
-    use iwa_tasklang::validate::Warning;
-    match w {
-        Warning::SelfSend { task, signal } => {
-            format!("task {task} sends signal {signal} to itself")
-        }
-        Warning::UnmatchedSignal {
-            signal,
-            sends,
-            accepts,
-        } => format!("signal {signal} has {sends} send(s) but {accepts} accept(s)"),
-        Warning::SilentTask { task } => {
-            format!("task {task} contains no rendezvous")
-        }
     }
 }
 
@@ -356,16 +331,16 @@ mod tests {
             .load("chan a; proc p1 { send a; } proc p2 { recv a; }")
             .unwrap();
         assert_eq!(m.lang, Lang::Chan);
-        assert!(m.warnings.is_empty());
         let chan_model = m.as_chan().unwrap();
+        assert!(chan_model.effects.issues.is_empty());
         assert!(chan_model.cycles.is_empty());
         assert!(chan_model.livelocks.is_empty());
         assert!(m.as_tasklang().is_none());
         assert!(m.as_lok().is_none());
 
-        // Suspicious-but-analysable patterns surface as warnings.
+        // Suspicious-but-analysable patterns load, recorded for the lints.
         let m = f.load("chan c[*]; proc p { close c; send c; }").unwrap();
-        assert!(!m.warnings.is_empty());
+        assert!(!m.as_chan().unwrap().effects.issues.is_empty());
 
         // Parse errors are Errs.
         assert!(f.load("proc {").is_err());
@@ -378,14 +353,12 @@ mod tests {
             .load("task t1 { send t2.a; accept b; } task t2 { accept a; send t1.b; }")
             .unwrap();
         assert_eq!(m.lang, Lang::Tasklang);
-        assert!(m.warnings.is_empty());
         assert_eq!(m.as_tasklang().unwrap().num_tasks(), 2);
         assert!(m.as_lok().is_none());
         assert_eq!(m.sync_graph().num_rendezvous(), 4);
 
-        // Suspicious-but-analysable patterns surface as warnings.
-        let m = f.load("task t { send t.m; accept m; }").unwrap();
-        assert!(!m.warnings.is_empty());
+        // Suspicious-but-analysable patterns load; the lints report them.
+        assert!(f.load("task t { send t.m; accept m; }").is_ok());
 
         // Parse errors are Errs.
         assert!(f.load("task {").is_err());

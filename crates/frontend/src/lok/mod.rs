@@ -100,11 +100,6 @@ impl Frontend for LokFrontend {
     fn load(&self, src: &str) -> Result<LoadedModel, IwaError> {
         let program = parse_lok(src)?;
         let lock_graph = LockGraph::build(&program);
-        let warnings = lock_graph
-            .issues
-            .iter()
-            .map(|i| lock_graph.render_issue(i))
-            .collect();
         let cycles = lock_graph.wait.cycles();
         let (sg, hold_points) = lock_graph.wait.lower();
         Ok(LoadedModel {
@@ -116,7 +111,6 @@ impl Frontend for LokFrontend {
                 sg,
                 hold_points,
             })),
-            warnings,
         })
     }
 }

@@ -222,6 +222,7 @@ pub fn channels_registry() -> Vec<Box<dyn LintPass>> {
         Box::new(passes::channels::ChannelCycle),
         Box::new(passes::channels::Livelock),
         Box::new(passes::channels::SendOnClosed),
+        Box::new(passes::channels::CloseOfClosed),
         Box::new(passes::channels::SelectArmStarved),
         Box::new(passes::channels::NeverReceived),
         Box::new(passes::channels::UnboundedGrowth),

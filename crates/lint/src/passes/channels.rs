@@ -1,11 +1,12 @@
 //! The `.chan` channel/select lints.
 //!
-//! All six run on the precomputed pieces of a loaded
+//! All seven run on the precomputed pieces of a loaded
 //! [`ChanModel`] — the communication dependency graph with its cycles,
 //! the livelock witnesses, and the channel-effect sets — so, like the
-//! `.lok` family, they cost nothing beyond the load. The three `Deny`
+//! `.lok` family, they cost nothing beyond the load. The four `Deny`
 //! lints cover the anomalies the engine also flags (`channel-cycle`,
-//! `livelock`) plus the `send-on-closed` runtime fault; the three `Warn`
+//! `livelock`) plus the `send-on-closed` and `close-of-closed` runtime
+//! faults; the three `Warn`
 //! lints surface channel hygiene: starved select arms, channels sent on
 //! but never received, and unbounded buffers that only ever grow.
 
@@ -97,6 +98,37 @@ impl LintPass for SendOnClosed {
     fn run_chan(&self, model: &ChanModel, out: &mut Vec<Diagnostic>) {
         for i in &model.effects.issues {
             if let ChanIssue::SendOnClosed { span, .. } = i {
+                out.push(finding(
+                    self.lint(),
+                    *span,
+                    model.comm_graph.render_issue(i),
+                ));
+            }
+        }
+    }
+}
+
+/// `close-of-closed`: a `close` of a channel that is already closed on
+/// every path — the second close faults at runtime, like a send on a
+/// closed channel.
+pub struct CloseOfClosed;
+
+static CLOSE_OF_CLOSED: Lint = Lint {
+    name: "close-of-closed",
+    default_severity: Severity::Deny,
+    description:
+        "a process closes a channel that is already closed; the second close faults at runtime",
+    applies_to: &[Lang::Chan],
+};
+
+impl LintPass for CloseOfClosed {
+    fn lint(&self) -> &'static Lint {
+        &CLOSE_OF_CLOSED
+    }
+
+    fn run_chan(&self, model: &ChanModel, out: &mut Vec<Diagnostic>) {
+        for i in &model.effects.issues {
+            if let ChanIssue::CloseOfClosed { span, .. } = i {
                 out.push(finding(
                     self.lint(),
                     *span,
@@ -280,6 +312,26 @@ mod tests {
         assert!(diags
             .iter()
             .any(|d| d.lint == "never-received" && d.severity == Severity::Warn));
+    }
+
+    #[test]
+    fn a_second_close_is_a_denial_at_its_own_span() {
+        let diags = lint("chan c; proc p { close c; close c; } proc q { recv c; }");
+        let closes: Vec<_> = diags
+            .iter()
+            .filter(|d| d.lint == "close-of-closed")
+            .collect();
+        assert_eq!(closes.len(), 1, "{diags:?}");
+        assert_eq!(closes[0].severity, Severity::Deny);
+        assert_eq!(
+            closes[0].message,
+            "proc p closes c (1:27) twice (first closed at 1:18)"
+        );
+        assert_eq!((closes[0].span.line, closes[0].span.col), (1, 27));
+        // One close is no finding.
+        assert!(!lint("chan c; proc p { close c; } proc q { recv c; }")
+            .iter()
+            .any(|d| d.lint == "close-of-closed"));
     }
 
     #[test]

@@ -212,7 +212,7 @@ mod tests {
         let chan = registry_for(Lang::Chan);
         let iwa = registry_for(Lang::Tasklang);
         assert_eq!(lok.len(), 4);
-        assert_eq!(chan.len(), 6);
+        assert_eq!(chan.len(), 7);
         assert_eq!(iwa.len() + lok.len() + chan.len(), crate::registry().len());
         for p in lok.iter().chain(&chan) {
             assert!(!p.lint().applies_to.contains(&Lang::Tasklang));

@@ -121,7 +121,6 @@ impl PetriNet {
         max_markings: usize,
         budget: &Budget,
     ) -> Result<ReachResult, IwaError> {
-        let started = std::time::Instant::now();
         let mut visited: HashSet<Marking> = HashSet::new();
         let mut queue: VecDeque<Marking> = VecDeque::new();
         visited.insert(self.initial.clone());
@@ -138,7 +137,6 @@ impl PetriNet {
                     limit: max_markings,
                     steps: transitions_fired as u64,
                     items: visited.len(),
-                    elapsed_ms: started.elapsed().as_millis().try_into().unwrap_or(u64::MAX),
                     degraded: false,
                 });
             }

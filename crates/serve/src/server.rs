@@ -26,7 +26,7 @@
 use crate::cache::{cache_key, VerdictCache};
 use crate::proto::{encode_frame, parse_request, Frame, FrameReader, Op, Request, Response};
 use iwa_core::fault::{FaultAction, FaultPlan, FaultSite};
-use iwa_core::{Budget, CancelToken};
+use iwa_core::{panic_message, Budget, CancelToken};
 use iwa_engine::{CheckOptions, EngineOptions, LintStage, RetryPolicy, Rung};
 use iwa_frontend::{registry as frontends, Lang};
 use iwa_lint::{lint_model, registry_for, LintConfig};
@@ -687,16 +687,6 @@ fn execute(shared: &Arc<Shared>, job: Job) -> WorkerFate {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_owned()
-    }
-}
-
 /// The options signature for cache keying: everything verdict-affecting
 /// except the deadline (degraded reports are never cached, so deadlines
 /// cannot change what a cached report says). The language is part of the
@@ -851,7 +841,6 @@ fn run_request(shared: &Arc<Shared>, req: &Request, deadline: Duration, cancel: 
                     batch_deadline: Some(deadline),
                     lint: LintStage::Off,
                     lint_config: LintConfig::default(),
-                    faults: faults.clone(),
                     retry: RetryPolicy::default(),
                     lang: req.lang.as_deref().map(|l| {
                         Lang::from_name(l).expect("validated at the protocol boundary")

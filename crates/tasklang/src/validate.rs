@@ -57,9 +57,10 @@ pub fn check_model(p: &Program) -> Result<(), IwaError> {
 ///
 /// Prefer running the lint registry (`iwa-lint`), which covers these three
 /// patterns as the `self-send`, `unmatched-signal`/`entry-never-called`,
-/// and `silent-task` lints *with source spans*. This function backs the
-/// certificate's warning list and returns an empty vector for invalid
-/// programs (run [`check_model`] first to distinguish).
+/// and `silent-task` lints *with source spans*. Nothing in the analysis
+/// pipeline reads this census any more; it is kept for perfbench's
+/// per-layer replay. Returns an empty vector for invalid programs (run
+/// [`check_model`] first to distinguish).
 #[must_use]
 pub fn model_warnings(p: &Program) -> Vec<Warning> {
     census(p).unwrap_or_default()

@@ -1,8 +1,7 @@
 //! Test-only helpers shared across the workspace's integration tests.
 //!
-//! The JSON reports are byte-identical across worker counts *except* for
-//! a short, closed list of legitimately non-deterministic fields: wall
-//! timings and work-stealing scheduler stats. Determinism tests (and
+//! The JSON reports are byte-identical across runs and worker counts
+//! *except* for their wall-clock timings. Determinism tests (and
 //! `scripts/ci.sh`) compare reports only after zeroing those fields; this
 //! crate is the single home of that mask so the CLI, engine, and root
 //! test suites cannot drift apart on what counts as "timing".
@@ -12,10 +11,9 @@
 
 use serde_json::Value;
 
-/// The JSON keys a determinism comparison must ignore: wall-clock timings
-/// (`elapsed_ms`, `wall_ms`) and the work-stealing scheduler's steal count
-/// (`pool_steals`), which depends on thread interleaving by construction.
-pub const MASKED_KEYS: &[&str] = &["elapsed_ms", "wall_ms", "pool_steals"];
+/// The JSON keys a determinism comparison must ignore: the wall-clock
+/// timings, the only report fields that vary between runs.
+pub const MASKED_KEYS: &[&str] = &["elapsed_ms", "wall_ms"];
 
 /// Recursively zero every [`MASKED_KEYS`] field in `v`.
 pub fn mask_value(v: &mut Value) {
@@ -62,14 +60,14 @@ mod tests {
         let json = r#"{
             "elapsed_ms": 91,
             "files": [{"wall_ms": 12, "steps": 7}],
-            "meta": {"sched": {"pool_steals": 3}}
+            "meta": {"metrics": {"pool_tasks": 3}}
         }"#;
         let out = masked(json);
         let v = serde_json::from_str(&out).unwrap();
         assert_eq!(v["elapsed_ms"], 0u64);
         assert_eq!(v["files"][0]["wall_ms"], 0u64);
         assert_eq!(v["files"][0]["steps"], 7u64, "non-timing fields survive");
-        assert_eq!(v["meta"]["sched"]["pool_steals"], 0u64);
+        assert_eq!(v["meta"]["metrics"]["pool_tasks"], 3u64, "counters survive");
     }
 
     #[test]

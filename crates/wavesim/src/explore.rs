@@ -473,13 +473,11 @@ pub fn explore_budgeted(
     budget: &Budget,
 ) -> Result<Exploration, IwaError> {
     const WHAT: &str = "exploring execution waves";
-    let started = std::time::Instant::now();
     let too_many = |transitions: usize, states: usize| IwaError::BudgetExceeded {
         what: WHAT.into(),
         limit: config.max_states,
         steps: transitions as u64,
         items: states,
-        elapsed_ms: started.elapsed().as_millis().try_into().unwrap_or(u64::MAX),
         degraded: false,
     };
     let mut store = WaveStore::new(sg.num_tasks);

@@ -5,9 +5,8 @@
 //! 1. The deterministic [`Counters`] totals are **byte-identical** for
 //!    any worker/job count — on the fixture corpus through the batch
 //!    engine, and on the adversarial workloads through the certify
-//!    pipeline. Only `sched.pool_steals` (quarantined) and wall-clock
-//!    fields may vary, and the shared mask in `iwa-testsupport` zeroes
-//!    exactly those.
+//!    pipeline. Only the wall-clock fields may vary, and the shared mask
+//!    in `iwa-testsupport` zeroes exactly those.
 //! 2. The §4.2 pruning-rule hit counts on the paper's figures are
 //!    **pinned**: a change to SEQUENCEABLE / COACCEPT / NOT-COEXEC /
 //!    Constraint-4 behaviour must show up here as a conscious diff, the
