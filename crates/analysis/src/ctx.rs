@@ -85,7 +85,6 @@ impl Default for AnalysisCtx {
 pub struct AnalysisCtxBuilder {
     budget: Option<Budget>,
     workers: usize,
-    cancel: Option<CancelToken>,
     trace: Option<TraceSink>,
     metrics: Option<Metrics>,
 }
@@ -93,7 +92,8 @@ pub struct AnalysisCtxBuilder {
 impl AnalysisCtxBuilder {
     /// Run analyses under `budget`. The budget is shared, not copied:
     /// clones (and the caller's handle) see the same step counters and
-    /// cancel token. Default: [`Budget::unlimited`].
+    /// cancel token; attach an external token with
+    /// [`Budget::and_cancel_token`]. Default: [`Budget::unlimited`].
     #[must_use]
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = Some(budget);
@@ -105,14 +105,6 @@ impl AnalysisCtxBuilder {
     #[must_use]
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = iwa_core::pool::resolve_workers(n);
-        self
-    }
-
-    /// Attach an external cancel token (tightened into the budget, so
-    /// cancelling it trips every analysis under the built context).
-    #[must_use]
-    pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
         self
     }
 
@@ -135,12 +127,8 @@ impl AnalysisCtxBuilder {
     /// Finish: resolve defaults and produce the context.
     #[must_use]
     pub fn build(self) -> AnalysisCtx {
-        let mut budget = self.budget.unwrap_or_else(Budget::unlimited);
-        if let Some(token) = self.cancel {
-            budget = budget.and_cancel_token(token);
-        }
         AnalysisCtx {
-            budget,
+            budget: self.budget.unwrap_or_else(Budget::unlimited),
             workers: self.workers.max(1),
             trace: self.trace,
             metrics: self.metrics,
@@ -302,7 +290,9 @@ mod tests {
     #[test]
     fn an_external_cancel_token_is_tightened_into_the_budget() {
         let token = CancelToken::new();
-        let ctx = AnalysisCtx::builder().cancel(token.clone()).build();
+        let ctx = AnalysisCtx::builder()
+            .budget(Budget::unlimited().and_cancel_token(token.clone()))
+            .build();
         assert!(!ctx.cancel_token().is_cancelled());
         token.cancel();
         assert!(ctx.cancel_token().is_cancelled());

@@ -35,21 +35,20 @@ use std::hash::{Hash, Hasher};
 pub struct StallOptions {
     /// Apply the §5.1 source transforms before counting.
     pub apply_transforms: bool,
-    /// Budget on per-task path count and on path combinations.
-    pub max_paths_per_task: usize,
-    /// Budget on the number of path combinations examined.
-    pub max_combinations: usize,
 }
 
 impl Default for StallOptions {
     fn default() -> Self {
         StallOptions {
             apply_transforms: true,
-            max_paths_per_task: 1 << 10,
-            max_combinations: 1 << 16,
         }
     }
 }
+
+/// Budget on the distinct path signatures of one task.
+const MAX_PATHS_PER_TASK: usize = 1 << 10;
+/// Budget on the number of path combinations examined.
+const MAX_COMBINATIONS: usize = 1 << 16;
 
 /// The stall verdict.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -115,11 +114,7 @@ pub fn signal_balance(p: &Program) -> Vec<(SignalId, usize, usize)> {
 /// Per-task path signatures: each control path through the task yields a
 /// vector of per-signal **signed** counts (sends − accepts contributed by
 /// that task on that path). Distinct paths with equal signatures merge.
-fn task_path_signatures(
-    p: &Program,
-    opts: &StallOptions,
-    budget: &Budget,
-) -> Result<Vec<Vec<Vec<i64>>>, IwaError> {
+fn task_path_signatures(p: &Program, budget: &Budget) -> Result<Vec<Vec<Vec<i64>>>, IwaError> {
     let nsig = p.symbols.num_signals();
     let cfgs = ProgramCfg::build(p);
     let mut all = Vec::with_capacity(cfgs.tasks.len());
@@ -156,13 +151,13 @@ fn task_path_signatures(
                         if is_new_signature(&mut first_by_hash, &sigs, &sig) {
                             sigs.push(sig);
                         }
-                        if sigs.len() > opts.max_paths_per_task {
+                        if sigs.len() > MAX_PATHS_PER_TASK {
                             return Err(IwaError::BudgetExceeded {
                                 what: format!(
                                     "enumerating control paths of task {}",
                                     p.symbols.task_name(cfg.task)
                                 ),
-                                limit: opts.max_paths_per_task,
+                                limit: MAX_PATHS_PER_TASK,
                                 steps: 0,
                                 items: sigs.len(),
                                 degraded: false,
@@ -297,7 +292,7 @@ fn stall_run(p: &Program, opts: &StallOptions, budget: &Budget) -> StallReport {
     }
 
     // Lemma 4 over all path combinations.
-    let per_task = match task_path_signatures(target, opts, budget) {
+    let per_task = match task_path_signatures(target, budget) {
         Ok(s) => s,
         Err(e) => {
             return StallReport {
@@ -316,14 +311,13 @@ fn stall_run(p: &Program, opts: &StallOptions, budget: &Budget) -> StallReport {
     let total = per_task
         .iter()
         .try_fold(1usize, |acc, sigs| acc.checked_mul(sigs.len()));
-    let max = opts.max_combinations;
     let over_budget = match total {
-        Some(total) if total <= max => None,
+        Some(total) if total <= MAX_COMBINATIONS => None,
         Some(total) => Some(format!(
-            "{total} path combinations exceed the budget of {max}"
+            "{total} path combinations exceed the budget of {MAX_COMBINATIONS}"
         )),
         None => Some(format!(
-            "the path combinations overflow usize and exceed the budget of {max}"
+            "the path combinations overflow usize and exceed the budget of {MAX_COMBINATIONS}"
         )),
     };
     if let Some(reason) = over_budget {
@@ -548,7 +542,6 @@ mod tests {
                 .unwrap(),
             &StallOptions {
                 apply_transforms: false,
-                ..StallOptions::default()
             },
         );
         // Without the merge, path enumeration still proves balance: each

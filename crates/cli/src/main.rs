@@ -88,7 +88,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         Some("lint") => lint(&args[1..]),
         Some("bench") => bench(&args[1..]),
         Some("serve") => serve(&args[1..]),
-        Some("serve-bench") => serve_bench(&args[1..]),
         Some("graph") => graph(&args[1..]),
         Some("inline") => transform(&args[1..], Transform::Inline),
         Some("unroll") => transform(&args[1..], Transform::Unroll),
@@ -133,7 +132,6 @@ USAGE:
     iwa bench   [--smoke] [--validate] [--label NAME] [--history PATH]
                 [--no-history]
     iwa serve   [OPTIONS]                      persistent analysis daemon
-    iwa serve-bench [OPTIONS]                  replay benchmark against a daemon
     iwa graph   <file | fixture:NAME> [--clg]
     iwa inline  <file.iwa | fixture:NAME>   print with procedures inlined
     iwa unroll  <file.iwa | fixture:NAME>   print the Lemma-1 unrolled form
@@ -201,17 +199,6 @@ SERVE OPTIONS:
                                    [:times=N][:label=S];...)
     --port-file PATH               write the bound port for scripts to read
     (runs until a client sends the 'shutdown' op)
-
-SERVE-BENCH OPTIONS:
-    --corpus PATH                  .iwa corpus to replay (default: corpus)
-    --rounds N --clients N         replay shape (defaults 5, 4)
-    --mutate-permille N            per-round variant mutation rate (default 10)
-    --smoke                        CI-sized run (same schema)
-    --fault PLAN                   run the daemon under an active fault plan
-    --seed N                       mutation-schedule seed
-    --out PATH                     report path (default: BENCH_serve.json)
-    --validate FILE                validate an existing report instead
-    (exit 1 if any request hangs or any verdict diverges from single-shot)
 
 EXIT CODES (analyze, check):
     0  clean at full precision     1  anomaly flagged
@@ -491,8 +478,7 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
             // Surface the AST-level lints (the old validate warnings)
             // with every batch check; graph lints stay behind `iwa lint`.
             lint: LintStage::Quick,
-            lint_config: LintConfig::default(),
-            retry: iwa_engine::RetryPolicy::with_attempts(retries.max(1)),
+            max_attempts: retries,
             lang: common.lang,
             skipped: sources
                 .skipped
@@ -633,70 +619,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     print_json(&server.join())?;
-    Ok(ExitCode::SUCCESS)
-}
-
-fn serve_bench(args: &[String]) -> Result<ExitCode, String> {
-    let mut opts = iwa_serve::ServeBenchOptions::default();
-    let mut out = "BENCH_serve.json";
-    let mut validate = None;
-    let mut args = Args::new(args);
-    while let Some(a) = args.next() {
-        match a {
-            "--smoke" => opts.smoke = true,
-            "--corpus" => opts.corpus = args.value(a)?.into(),
-            "--rounds" => opts.rounds = args.parse(a)?,
-            "--clients" => opts.clients = args.parse(a)?,
-            "--mutate-permille" => opts.mutate_permille = args.parse(a)?,
-            "--fault" => opts.faults = Some(fault_plan(args.value(a)?)?),
-            "--seed" => opts.seed = args.parse(a)?,
-            "--out" => out = args.value(a)?,
-            "--validate" => validate = Some(args.value(a)?),
-            _ => return Err(unexpected(a)),
-        }
-    }
-
-    if let Some(path) = validate {
-        let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let v = serde_json::from_str(&src).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
-        iwa_serve::validate_report(&v).map_err(|e| format!("{path}: {e}"))?;
-        outln!(
-            "{path}: valid (schema v{})",
-            iwa_serve::BENCH_SERVE_SCHEMA_VERSION
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let report = iwa_serve::run_bench(&opts)?;
-    let get = |k: &str| report.get(k).and_then(serde::Value::as_u64).unwrap_or(0);
-    outln!(
-        "serve-bench: {} requests, {} ok ({} cached), {} errors, {} shed, \
-         {} timeouts, {} cancelled, {} hangs",
-        get("requests"),
-        get("ok"),
-        get("cached_responses"),
-        get("errors"),
-        get("shed"),
-        get("timeouts"),
-        get("cancelled"),
-        get("hangs"),
-    );
-    outln!(
-        "cache: {} hits / {} misses; client round trip p50 {} µs, p99 {} µs; \
-         {} ms wall; {} verdict mismatches",
-        get("cache_hits"),
-        get("cache_misses"),
-        get("rtt_p50_us"),
-        get("rtt_p99_us"),
-        get("wall_ms"),
-        get("verdict_mismatches"),
-    );
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
-    outln!("wrote {out}");
-    if get("hangs") > 0 || get("verdict_mismatches") > 0 {
-        return Ok(ExitCode::FAILURE);
-    }
     Ok(ExitCode::SUCCESS)
 }
 

@@ -172,7 +172,6 @@ struct Rule {
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     rules: Arc<Vec<Rule>>,
-    spec: Arc<str>,
 }
 
 impl FaultPlan {
@@ -240,7 +239,6 @@ impl FaultPlan {
         }
         Ok(FaultPlan {
             rules: Arc::new(rules),
-            spec: Arc::from(spec),
         })
     }
 
@@ -251,12 +249,6 @@ impl FaultPlan {
             Some(spec) => FaultPlan::parse(&spec).map(Some),
             None => Ok(None),
         }
-    }
-
-    /// The spec string this plan was built from.
-    #[must_use]
-    pub fn spec(&self) -> &str {
-        &self.spec
     }
 
     /// `true` when the plan has no rules (and [`decide`](Self::decide)

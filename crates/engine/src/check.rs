@@ -28,39 +28,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// Bounded retry policy for transient `io-error` outcomes in
-/// [`check_batch`]. Off by default (`max_attempts` 1 = no retries), so
-/// determinism goldens are unchanged unless a caller opts in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per file, including the first (minimum 1).
-    pub max_attempts: u32,
-    /// Base backoff: attempt `n`'s retry sleeps `backoff * n`, a
-    /// deterministic linear schedule (no jitter — reproducibility beats
-    /// thundering-herd avoidance in a batch checker).
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::from_millis(10),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy allowing up to `max_attempts` total attempts with the
-    /// default 10 ms base backoff.
-    #[must_use]
-    pub fn with_attempts(max_attempts: u32) -> Self {
-        RetryPolicy {
-            max_attempts,
-            ..RetryPolicy::default()
-        }
-    }
-}
+/// Base backoff between attempts at one file: retry `n` sleeps
+/// `RETRY_BACKOFF * n`, a deterministic linear schedule (no jitter —
+/// reproducibility beats thundering-herd avoidance in a batch checker).
+const RETRY_BACKOFF: Duration = Duration::from_millis(10);
 
 /// What happened to one file.
 #[derive(Clone, Debug, Serialize)]
@@ -141,14 +112,13 @@ pub struct CheckOptions {
     /// deadline is clamped to what remains of it, so no worker outlives
     /// the batch by more than one file's budget probe.
     pub batch_deadline: Option<Duration>,
-    /// Optional per-file lint stage.
+    /// Optional per-file lint stage, at the default lint severities.
     pub lint: LintStage,
-    /// Severity configuration for the lint stage.
-    pub lint_config: LintConfig,
-    /// Bounded retry policy for transient `io-error` outcomes; the
-    /// default (1 attempt) disables retries. Retries are counted in
-    /// [`Counters::io_retries`].
-    pub retry: RetryPolicy,
+    /// Attempts per file, the first included, for transient `io-error`
+    /// outcomes. `0` and `1` (the default) both disable retries, so
+    /// determinism goldens are unchanged unless a caller opts in.
+    /// Retries are counted in [`Counters::io_retries`].
+    pub max_attempts: u32,
     /// Force every file through this frontend instead of resolving by
     /// extension (the CLI's `--lang`). `None` (the default) dispatches
     /// per file; unknown extensions fall back to tasklang.
@@ -263,12 +233,6 @@ pub fn collect_sources(root: &Path) -> Result<CollectedSources, IwaError> {
     Ok(out)
 }
 
-/// [`collect_sources`] without the skipped accounting — the historical
-/// entry point, kept for callers that only want the analysable files.
-pub fn collect_files(root: &Path) -> Result<Vec<PathBuf>, IwaError> {
-    collect_sources(root).map(|c| c.files)
-}
-
 /// Check every file in `paths`, each behind its own panic boundary and
 /// under its own copy of the engine options, fanned across
 /// [`CheckOptions::jobs`] workers.
@@ -319,8 +283,7 @@ pub fn check_batch(paths: &[PathBuf], opts: &CheckOptions) -> CheckSummary {
             &eopts,
             opts.lang,
             opts.lint,
-            &opts.lint_config,
-            &opts.retry,
+            opts.max_attempts,
         ))
     });
     let files: Vec<FileOutcome> = files.expect("per-file closure is infallible");
@@ -365,7 +328,6 @@ fn check_attempt(
     opts: &EngineOptions,
     forced: Option<Lang>,
     lint: LintStage,
-    lint_config: &LintConfig,
 ) -> Checked {
     if let Some(plan) = &opts.faults {
         if let Err(e) = plan.fire(FaultSite::CheckFile, display) {
@@ -400,8 +362,13 @@ fn check_attempt(
     let ctx = iwa_analysis::AnalysisCtx::builder()
         .workers(opts.workers)
         .build();
-    let diagnostics =
-        lint_model(&ctx, &model, lint_config, &lint.passes(model.lang)).unwrap_or_default();
+    let diagnostics = lint_model(
+        &ctx,
+        &model,
+        &LintConfig::default(),
+        &lint.passes(model.lang),
+    )
+    .unwrap_or_default();
     Checked::Report(report, diagnostics)
 }
 
@@ -410,25 +377,24 @@ fn check_one(
     opts: &EngineOptions,
     forced: Option<Lang>,
     lint: LintStage,
-    lint_config: &LintConfig,
-    retry: &RetryPolicy,
+    max_attempts: u32,
 ) -> FileOutcome {
     let started = Instant::now();
     let display = path.display().to_string();
     let lang = frontends::resolve(path, forced).lang().name().to_owned();
-    let max_attempts = u64::from(retry.max_attempts.max(1));
+    let max_attempts = u64::from(max_attempts.max(1));
 
     let mut retries = 0u64;
     let run = loop {
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            check_attempt(path, &display, opts, forced, lint, lint_config)
+            check_attempt(path, &display, opts, forced, lint)
         }));
         // Only transient io-errors are retryable; panics, parse errors,
         // and analysis errors are not going to change on a second look.
         match attempt {
             Ok(Checked::Io(msg)) if retries + 1 < max_attempts => {
                 retries += 1;
-                std::thread::sleep(retry.backoff * u32::try_from(retries).unwrap_or(u32::MAX));
+                std::thread::sleep(RETRY_BACKOFF * u32::try_from(retries).unwrap_or(u32::MAX));
                 drop(msg);
             }
             other => break other,

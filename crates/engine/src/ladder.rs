@@ -142,8 +142,6 @@ pub struct EngineOptions {
     pub max_steps: Option<u64>,
     /// Apply the §5.1 source transforms before the stall analysis.
     pub apply_transforms: bool,
-    /// Exploration limits for the oracle rung.
-    pub oracle_config: ExploreConfig,
     /// External cancellation: trips every budgeted rung at its next
     /// checkpoint (the naive floor still answers).
     pub cancel: Option<CancelToken>,
@@ -175,7 +173,6 @@ impl Default for EngineOptions {
             deadline: None,
             max_steps: None,
             apply_transforms: true,
-            oracle_config: ExploreConfig::default(),
             cancel: None,
             workers: 1,
             trace: None,
@@ -495,7 +492,7 @@ fn run_rung(
             // already dead (e.g. `--deadline-ms 1`).
             budget.probe("oracle exploration")?;
             let sg = SyncGraph::from_program(p);
-            let e = explore_counted(&sg, &opts.oracle_config, budget, metrics)?;
+            let e = explore_counted(&sg, &ExploreConfig::default(), budget, metrics)?;
             let verdict = match e.verdict {
                 Verdict::AnomalyFree => EngineVerdict::Clean,
                 Verdict::Anomalous => EngineVerdict::Anomalous,
@@ -526,7 +523,6 @@ fn run_rung(
                 },
                 stall: StallOptions {
                     apply_transforms: opts.apply_transforms,
-                    ..StallOptions::default()
                 },
             };
             let cert = analysis_ctx(opts, budget, metrics).certify(p, &copts)?;
@@ -593,7 +589,7 @@ fn run_rung_wait(
             budget.probe("oracle exploration")?;
             let config = ExploreConfig {
                 ignore_stalls: true,
-                ..opts.oracle_config
+                ..ExploreConfig::default()
             };
             explore_counted(sg, &config, budget, metrics)?.verdict == Verdict::AnomalyFree
         }

@@ -28,8 +28,8 @@ pub mod check;
 pub mod ladder;
 
 pub use check::{
-    check_batch, collect_files, collect_sources, CheckOptions, CheckSummary, CollectedSources,
-    FileOutcome, LintStage, RetryPolicy,
+    check_batch, collect_sources, CheckOptions, CheckSummary, CollectedSources, FileOutcome,
+    LintStage,
 };
 pub use ladder::{
     analyze, analyze_model, analyze_wait, EngineOptions, EngineReport, EngineVerdict, Rung,

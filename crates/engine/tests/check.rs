@@ -2,7 +2,7 @@
 //! taxonomy, and the exit-code contract.
 
 use iwa_core::FaultPlan;
-use iwa_engine::{check_batch, collect_files, CheckOptions, EngineOptions, EngineVerdict, Rung};
+use iwa_engine::{check_batch, collect_sources, CheckOptions, EngineOptions, EngineVerdict, Rung};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
@@ -24,13 +24,13 @@ const CLEAN: &str = "task t1 { send t2.a; accept b; } task t2 { accept a; send t
 const DEADLOCK: &str = "task t1 { send t2.a; accept b; } task t2 { send t1.b; accept a; }";
 
 #[test]
-fn collect_files_walks_recursively_and_sorts() {
+fn collect_sources_walks_recursively_and_sorts() {
     let dir = scratch("collect");
     std::fs::create_dir(dir.join("sub")).unwrap();
     std::fs::write(dir.join("b.iwa"), CLEAN).unwrap();
     std::fs::write(dir.join("sub/a.iwa"), CLEAN).unwrap();
     std::fs::write(dir.join("notes.txt"), "not a program").unwrap();
-    let files = collect_files(&dir).unwrap();
+    let files = collect_sources(&dir).unwrap().files;
     let names: Vec<_> = files
         .iter()
         .map(|f| f.strip_prefix(&dir).unwrap().to_string_lossy().into_owned())
@@ -38,10 +38,10 @@ fn collect_files_walks_recursively_and_sorts() {
     assert_eq!(names, ["b.iwa", "sub/a.iwa"], "sorted, .iwa only");
 
     // A single file stands for itself, whatever its extension.
-    let solo = collect_files(&dir.join("notes.txt")).unwrap();
+    let solo = collect_sources(&dir.join("notes.txt")).unwrap().files;
     assert_eq!(solo.len(), 1);
 
-    assert!(collect_files(&dir.join("missing")).is_err());
+    assert!(collect_sources(&dir.join("missing")).is_err());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -51,7 +51,7 @@ fn a_mixed_corpus_yields_the_full_taxonomy_and_exit_code_1() {
     std::fs::write(dir.join("clean.iwa"), CLEAN).unwrap();
     std::fs::write(dir.join("deadlock.iwa"), DEADLOCK).unwrap();
     std::fs::write(dir.join("garbage.iwa"), "task task task {{{").unwrap();
-    let files = collect_files(&dir).unwrap();
+    let files = collect_sources(&dir).unwrap().files;
     let summary = check_batch(&files, &CheckOptions::default());
 
     assert_eq!(summary.total, 3);
@@ -77,7 +77,8 @@ fn an_all_clean_corpus_exits_0() {
     let dir = scratch("allclean");
     std::fs::write(dir.join("one.iwa"), CLEAN).unwrap();
     std::fs::write(dir.join("two.iwa"), CLEAN).unwrap();
-    let summary = check_batch(&collect_files(&dir).unwrap(), &CheckOptions::default());
+    let files = collect_sources(&dir).unwrap().files;
+    let summary = check_batch(&files, &CheckOptions::default());
     assert_eq!((summary.clean, summary.exit_code()), (2, 0));
     assert!(summary.files.iter().all(|f| f.rung == Some(Rung::Oracle)));
     std::fs::remove_dir_all(&dir).unwrap();
@@ -96,7 +97,7 @@ fn deadline_degraded_files_exit_3_and_stay_labelled() {
         ..EngineOptions::default()
     };
     let summary = check_batch(
-        &collect_files(&dir).unwrap(),
+        &collect_sources(&dir).unwrap().files,
         &CheckOptions {
             engine: opts,
             ..CheckOptions::default()
@@ -131,7 +132,7 @@ fn degradation_without_anomalies_exits_3() {
         ..EngineOptions::default()
     };
     let summary = check_batch(
-        &collect_files(&dir).unwrap(),
+        &collect_sources(&dir).unwrap().files,
         &CheckOptions {
             engine: opts,
             ..CheckOptions::default()
@@ -153,7 +154,7 @@ fn injected_panics_are_isolated_and_the_run_continues() {
 
     let faults = FaultPlan::parse("check-file=panic:label=kaboom-marker-q7").unwrap();
     let summary = check_batch(
-        &collect_files(&dir).unwrap(),
+        &collect_sources(&dir).unwrap().files,
         &CheckOptions {
             engine: EngineOptions {
                 faults: Some(faults),
@@ -181,7 +182,7 @@ fn injected_panics_are_isolated_and_the_run_continues() {
 fn unreadable_files_are_io_errors_not_crashes() {
     let dir = scratch("io");
     std::fs::write(dir.join("real.iwa"), CLEAN).unwrap();
-    let mut files = collect_files(&dir).unwrap();
+    let mut files = collect_sources(&dir).unwrap().files;
     files.push(dir.join("vanished.iwa")); // never created
     let summary = check_batch(&files, &CheckOptions::default());
     assert_eq!(summary.total, 2);
@@ -199,10 +200,46 @@ fn unreadable_files_are_io_errors_not_crashes() {
 }
 
 #[test]
+fn a_transient_io_error_is_retried_while_attempts_remain() {
+    let dir = scratch("retry");
+    std::fs::write(dir.join("p.iwa"), CLEAN).unwrap();
+    let files = collect_sources(&dir).unwrap().files;
+    let run = |max_attempts| {
+        // A fresh plan per run, so each run's first read is the one that fails.
+        let faults = FaultPlan::parse("check-file=io-error:times=1").unwrap();
+        check_batch(
+            &files,
+            &CheckOptions {
+                engine: EngineOptions {
+                    faults: Some(faults),
+                    ..EngineOptions::default()
+                },
+                max_attempts,
+                ..CheckOptions::default()
+            },
+        )
+    };
+
+    let retried = run(2);
+    assert_eq!(retried.files[0].status, "ok", "{:?}", retried.files[0]);
+    assert_eq!(retried.meta.metrics.io_retries, 1);
+    assert_eq!(retried.exit_code(), 0);
+
+    let once = run(1);
+    assert_eq!(once.files[0].status, "io-error");
+    let error = once.files[0].error.as_deref().unwrap();
+    assert!(error.contains("injected io-error"), "{error}");
+    assert_eq!(once.meta.metrics.io_retries, 0);
+    assert_eq!(once.errors, 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn summaries_serialize_to_json_with_a_schema_version() {
     let dir = scratch("json");
     std::fs::write(dir.join("p.iwa"), CLEAN).unwrap();
-    let summary = check_batch(&collect_files(&dir).unwrap(), &CheckOptions::default());
+    let files = collect_sources(&dir).unwrap().files;
+    let summary = check_batch(&files, &CheckOptions::default());
     let json = serde_json::to_string_pretty(&summary).unwrap();
     assert!(json.contains("\"total\": 1"), "got: {json}");
     assert!(json.contains("\"status\": \"ok\""));
@@ -231,7 +268,7 @@ fn the_summary_is_identical_for_any_job_count() {
         "task a { send b.x; accept z; } task b { send c.y; accept x; } task c { send a.z; accept y; }",
     )
     .unwrap();
-    let files = collect_files(&dir).unwrap();
+    let files = collect_sources(&dir).unwrap().files;
     // A step ceiling (not a wall-clock deadline) keeps even the *budgeted*
     // behaviour deterministic: whether a rung completes or trips depends
     // only on the shared step counter, never on scheduling.
@@ -261,7 +298,7 @@ fn a_batch_deadline_stops_all_in_flight_workers_promptly() {
     }
     let started = std::time::Instant::now();
     let summary = check_batch(
-        &collect_files(&dir).unwrap(),
+        &collect_sources(&dir).unwrap().files,
         &CheckOptions {
             engine: EngineOptions::default(),
             jobs: 4,
@@ -290,7 +327,7 @@ fn a_cancelled_token_degrades_the_whole_batch_but_still_answers() {
     let token = iwa_core::CancelToken::new();
     token.cancel();
     let summary = check_batch(
-        &collect_files(&dir).unwrap(),
+        &collect_sources(&dir).unwrap().files,
         &CheckOptions {
             engine: EngineOptions {
                 cancel: Some(token),
@@ -324,7 +361,7 @@ fn the_json_schema_is_pinned() {
 
     let dir = scratch("golden");
     std::fs::write(dir.join("p.iwa"), DEADLOCK).unwrap();
-    let files = collect_files(&dir).unwrap();
+    let files = collect_sources(&dir).unwrap().files;
     let summary = check_batch(&files, &CheckOptions::default());
     let v = serde_json::to_value(&summary).unwrap();
     assert_eq!(
@@ -373,7 +410,7 @@ fn the_lint_stage_populates_diagnostics_only_when_enabled() {
     let dir = scratch("lint-stage");
     std::fs::write(dir.join("selfsend.iwa"), "task a { send a.m; accept m; }").unwrap();
     std::fs::write(dir.join("bad.iwa"), "task {{{").unwrap();
-    let files = collect_files(&dir).unwrap();
+    let files = collect_sources(&dir).unwrap().files;
 
     let off = check_batch(&files, &CheckOptions::default());
     assert!(off.files.iter().all(|f| f.diagnostics.is_empty()));
@@ -420,7 +457,7 @@ fn a_mixed_language_corpus_dispatches_per_file() {
     std::fs::write(dir.join("abba.lok"), ABBA_LOK).unwrap();
     std::fs::write(dir.join("README.md"), "docs").unwrap();
 
-    let sources = iwa_engine::collect_sources(&dir).unwrap();
+    let sources = collect_sources(&dir).unwrap();
     assert_eq!(sources.files.len(), 3, "both languages collected");
     assert_eq!(sources.skipped.len(), 1, "unknown files accounted for");
 

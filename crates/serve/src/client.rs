@@ -1,7 +1,7 @@
 //! A small blocking client for the daemon protocol.
 //!
-//! Used by `iwa serve-bench`, the test suites, and anyone scripting the
-//! daemon from Rust. Every receive carries an explicit timeout — a
+//! Used by the test suites, the repo's benchmark, and anyone scripting
+//! the daemon from Rust. Every receive carries an explicit timeout — a
 //! client of an infinite-wait detector does not get to wait infinitely.
 
 use crate::proto::{write_frame, Frame, FrameReader};

@@ -27,19 +27,20 @@
 //!   admitted request before the process exits.
 //!
 //! All of it is testable on demand through `iwa_core::fault`'s
-//! structured fault plans, and measurable end-to-end through the
-//! [`bench`] replay driver (`iwa serve-bench`).
+//! structured fault plans: the chaos suite (`tests/chaos.rs`) drives the
+//! daemon under them and checks that no request hangs and that, with
+//! faults off, every answer matches single-shot analysis. The repo's
+//! benchmark (`perfbench`, workload `serve_replay`) measures it end to
+//! end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod cache;
 pub mod client;
 pub mod proto;
 pub mod server;
 
-pub use bench::{run_bench, validate_report, ServeBenchOptions, BENCH_SERVE_SCHEMA_VERSION};
 pub use cache::{cache_key, fnv1a, VerdictCache};
 pub use client::Client;
 pub use proto::{Op, Request, Response, PROTO_VERSION};

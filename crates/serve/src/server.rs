@@ -17,7 +17,8 @@
 //!   and whatever still remains is answered `cancelled` explicitly.
 //!
 //! Concurrency model: one reader thread per connection (50 ms poll so
-//! shutdown is noticed promptly), a bounded [`VecDeque`] admission queue
+//! shutdown is noticed promptly, joined by the listener once its
+//! connection closes), a bounded [`VecDeque`] admission queue
 //! under a [`Condvar`], a fixed worker pool executing requests, and one
 //! watchdog ticking every 20 ms over the in-flight table. All hand-rolled
 //! on `std` — the point of the exercise is that the robustness lives in
@@ -27,7 +28,7 @@ use crate::cache::{cache_key, VerdictCache};
 use crate::proto::{encode_frame, parse_request, Frame, FrameReader, Op, Request, Response};
 use iwa_core::fault::{FaultAction, FaultPlan, FaultSite};
 use iwa_core::{panic_message, Budget, CancelToken};
-use iwa_engine::{CheckOptions, EngineOptions, LintStage, RetryPolicy, Rung};
+use iwa_engine::{CheckOptions, EngineOptions, Rung};
 use iwa_frontend::{registry as frontends, Lang};
 use iwa_lint::{lint_model, registry_for, LintConfig};
 use serde::{Serialize, Value};
@@ -51,8 +52,6 @@ pub struct ServeOptions {
     pub queue_cap: usize,
     /// Deadline applied when a request carries none.
     pub default_deadline: Duration,
-    /// Ceiling clamped onto any requested deadline.
-    pub max_deadline: Duration,
     /// Grace between the soft deadline (cancel → degrade) and the hard
     /// deadline (watchdog answers `timeout` and replaces the worker).
     pub watchdog_grace: Duration,
@@ -73,7 +72,6 @@ impl Default for ServeOptions {
             workers: 2,
             queue_cap: 64,
             default_deadline: Duration::from_millis(2_000),
-            max_deadline: Duration::from_secs(30),
             watchdog_grace: Duration::from_millis(250),
             drain_timeout: Duration::from_millis(2_000),
             cache_cap: 4096,
@@ -82,6 +80,9 @@ impl Default for ServeOptions {
         }
     }
 }
+
+/// Ceiling clamped onto any requested deadline.
+const MAX_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Final counters reported when the daemon exits (also served live by
 /// the `stats` op).
@@ -137,7 +138,7 @@ struct StatsInner {
 /// Latency samples kept for the percentiles; the oldest is dropped first.
 const LATENCY_RING: usize = 4096;
 
-pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {
+fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -482,6 +483,16 @@ impl Server {
 fn listener_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.stop.load(Ordering::SeqCst) {
+        // An exited reader keeps its stack mapped until it is joined, so
+        // join each one whose connection has closed.
+        let mut i = 0;
+        while i < readers.len() {
+            if readers[i].is_finished() {
+                let _ = readers.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
         match listener.accept() {
             Ok((stream, _)) => {
                 let shared = Arc::clone(shared);
@@ -625,7 +636,7 @@ fn execute(shared: &Arc<Shared>, job: Job) -> WorkerFate {
             .deadline_ms
             .unwrap_or_else(|| shared.opts.default_deadline.as_millis() as u64),
     )
-    .min(shared.opts.max_deadline);
+    .min(MAX_DEADLINE);
     let cancel = CancelToken::new();
     let responded = Arc::new(AtomicBool::new(false));
     let abandoned = Arc::new(AtomicBool::new(false));
@@ -839,9 +850,6 @@ fn run_request(shared: &Arc<Shared>, req: &Request, deadline: Duration, cancel: 
                     },
                     jobs: 1,
                     batch_deadline: Some(deadline),
-                    lint: LintStage::Off,
-                    lint_config: LintConfig::default(),
-                    retry: RetryPolicy::default(),
                     lang: req.lang.as_deref().map(|l| {
                         Lang::from_name(l).expect("validated at the protocol boundary")
                     }),
@@ -850,6 +858,7 @@ fn run_request(shared: &Arc<Shared>, req: &Request, deadline: Duration, cancel: 
                         .iter()
                         .map(|p| p.display().to_string())
                         .collect(),
+                    ..CheckOptions::default()
                 },
             );
             let mut resp = Response::new(Value::Null, "ok");

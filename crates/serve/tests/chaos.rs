@@ -4,8 +4,8 @@
 
 use iwa_core::fault::FaultPlan;
 use iwa_engine::{EngineOptions, Rung};
-use iwa_serve::{run_bench, validate_report, Client, ServeBenchOptions, Server, ServeOptions};
-use serde::{Serialize, Value};
+use iwa_serve::{Client, ServeOptions, Server};
+use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -25,6 +25,7 @@ fn multi_site_fault_plan_never_hangs_the_daemon() {
     let plan = FaultPlan::parse(
         "parse=panic:skip=2:times=2;\
          certify=io-error:skip=1:times=3;\
+         certify=panic:skip=4:times=2;\
          refined-search=budget-trip:times=2;\
          cache-lookup=io-error:times=2;\
          parse=sleep:50:skip=6:times=3",
@@ -73,9 +74,12 @@ fn multi_site_fault_plan_never_hangs_the_daemon() {
 
     server.shutdown();
     let stats = server.join();
-    assert!(
-        stats.panics_isolated >= 1,
-        "the panic window must have fired and been contained: {stats:?}"
+    // Until some answer is cached, every parseable request reaches the
+    // certify site, and its first six hits cache nothing (a refined-search
+    // trip, three io-errors, two panics): both panic windows fire in full.
+    assert_eq!(
+        stats.panics_isolated, 4,
+        "two parse panics and two certify panics, each contained: {stats:?}"
     );
     // The injected io-errors at certify surface as explicit error
     // responses, never as dropped connections.
@@ -84,10 +88,13 @@ fn multi_site_fault_plan_never_hangs_the_daemon() {
 
 /// Faults off, the daemon must be a transparent wrapper: same verdict,
 /// same producing rung, same flagged findings as a direct in-process
-/// analysis of every corpus program.
+/// analysis of every corpus program, whether the answer is computed or
+/// served from the cache.
 #[test]
 fn verdicts_match_direct_analysis_with_faults_off() {
-    let files = iwa_engine::collect_files(&corpus_dir()).expect("corpus readable");
+    let files = iwa_engine::collect_sources(&corpus_dir())
+        .expect("corpus readable")
+        .files;
     assert!(!files.is_empty(), "repo corpus must exist");
 
     let server = Server::start(ServeOptions::default()).unwrap();
@@ -109,18 +116,26 @@ fn verdicts_match_direct_analysis_with_faults_off() {
         .unwrap()
         .to_value();
 
-        let resp = client
-            .request(&Client::analyze_request(i as u64, &source, Some(30_000)), RECV)
-            .unwrap();
-        assert_eq!(resp["status"], "ok", "{}: {resp:?}", file.display());
-        let served = &resp["report"];
-        assert_eq!(served["degraded"], false, "{}", file.display());
-        for field in ["verdict", "rung", "flagged"] {
-            assert_eq!(
-                served[field], direct[field],
-                "{}: field '{field}' must be byte-identical to single-shot analysis",
-                file.display()
-            );
+        // The first answer is cached (it is not degraded), so the second
+        // submission must come from the cache.
+        for round in 0..2 {
+            let id = (2 * i + round) as u64;
+            let resp = client
+                .request(&Client::analyze_request(id, &source, Some(30_000)), RECV)
+                .unwrap();
+            assert_eq!(resp["status"], "ok", "{}: {resp:?}", file.display());
+            if round == 1 {
+                assert_eq!(resp["cached"], true, "{}: {resp:?}", file.display());
+            }
+            let served = &resp["report"];
+            assert_eq!(served["degraded"], false, "{}", file.display());
+            for field in ["verdict", "rung", "flagged"] {
+                assert_eq!(
+                    served[field], direct[field],
+                    "{}: field '{field}' must be byte-identical to single-shot analysis",
+                    file.display()
+                );
+            }
         }
         compared += 1;
     }
@@ -128,90 +143,4 @@ fn verdicts_match_direct_analysis_with_faults_off() {
 
     server.shutdown();
     server.join();
-}
-
-/// The serve-bench acceptance bar: replaying the corpus with ~1%
-/// mutations must clear a 50% cache hit-rate, with zero hangs and zero
-/// verdict mismatches against the single-shot baseline.
-#[test]
-fn bench_replay_hits_cache_and_matches_baseline() {
-    let report = run_bench(&ServeBenchOptions {
-        corpus: corpus_dir(),
-        rounds: 4,
-        clients: 2,
-        mutate_permille: 10,
-        seed: 7,
-        ..ServeBenchOptions::default()
-    })
-    .expect("bench runs");
-
-    validate_report(&report).expect("report validates");
-    assert_eq!(report["hangs"], 0, "{report:?}");
-    assert_eq!(report["verdict_mismatches"], 0, "{report:?}");
-    let hit_rate = match report["hit_rate_pct"] {
-        Value::Float(f) => f,
-        ref other => panic!("hit_rate_pct not a float: {other:?}"),
-    };
-    assert!(
-        hit_rate > 50.0,
-        "replay of a lightly-mutated corpus must mostly hit: {hit_rate:.1}% in {report:?}"
-    );
-}
-
-/// The bench under an active fault plan: still no hangs, still a clean
-/// exit, still a validating report — robustness holds under load *and*
-/// injected failure at once.
-#[test]
-fn bench_smoke_survives_an_active_fault_plan() {
-    let plan = FaultPlan::parse("certify=panic:skip=1:times=2;parse=sleep:50:times=3")
-        .expect("plan parses");
-    let report = run_bench(&ServeBenchOptions {
-        corpus: corpus_dir(),
-        rounds: 3,
-        clients: 2,
-        smoke: true,
-        faults: Some(plan),
-        seed: 11,
-        ..ServeBenchOptions::default()
-    })
-    .expect("bench survives faults");
-
-    validate_report(&report).expect("report validates");
-    assert_eq!(report["hangs"], 0, "{report:?}");
-    assert_eq!(report["faults_active"], true);
-    assert_eq!(report["mode"], "smoke");
-}
-
-/// `validate_report` is itself load-bearing for CI — make sure it
-/// rejects the failure shapes it exists to catch.
-#[test]
-fn validate_report_rejects_malformed_trees() {
-    let good = run_bench(&ServeBenchOptions {
-        corpus: corpus_dir(),
-        rounds: 1,
-        clients: 1,
-        smoke: true,
-        ..ServeBenchOptions::default()
-    })
-    .unwrap();
-    validate_report(&good).unwrap();
-
-    let mut missing = good.clone();
-    if let Value::Object(fields) = &mut missing {
-        fields.retain(|(k, _)| k != "hangs");
-    }
-    assert!(validate_report(&missing).is_err(), "missing field must fail");
-
-    let mut skewed = good.clone();
-    if let Value::Object(fields) = &mut skewed {
-        for (k, v) in fields.iter_mut() {
-            if k == "requests" {
-                *v = 999_999u64.to_value();
-            }
-        }
-    }
-    assert!(
-        validate_report(&skewed).is_err(),
-        "accounting identity must be enforced"
-    );
 }

@@ -40,7 +40,6 @@ fn visit(name: &str, p: &iwa::tasklang::Program) {
         p,
         &StallOptions {
             apply_transforms: false,
-            ..StallOptions::default()
         },
     );
     let with = ctx.stall(p, &StallOptions::default());

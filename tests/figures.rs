@@ -195,7 +195,6 @@ fn e7_figure5_stalls() {
         &figures::fig5d(),
         &StallOptions {
             apply_transforms: false,
-            ..StallOptions::default()
         },
     );
     assert!(matches!(raw.verdict, StallVerdict::PossibleStall { .. }));

@@ -53,7 +53,6 @@ fn check_transforms_skip_exactly(p: &iwa::tasklang::Program) -> Result<(), TestC
         p,
         &StallOptions {
             apply_transforms: false,
-            ..StallOptions::default()
         },
     );
     prop_assert_eq!(&with.verdict, &without.verdict);
@@ -153,7 +152,6 @@ fn pinned_false_alarm_without_transforms() {
         &p,
         &StallOptions {
             apply_transforms: false,
-            ..StallOptions::default()
         },
     );
     assert!(matches!(raw.verdict, StallVerdict::PossibleStall { .. }));
