@@ -1,5 +1,6 @@
 //! Error type shared across the workspace.
 
+use crate::Span;
 use std::fmt;
 
 /// Errors surfaced by the `iwa` crates.
@@ -8,7 +9,7 @@ use std::fmt;
 /// pre-authorised list.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum IwaError {
-    /// The `.iwa` source text failed to parse.
+    /// Source text (`.iwa`, `.lok` or `.chan`) failed to parse.
     Parse {
         /// 1-based line of the offending token.
         line: usize,
@@ -75,6 +76,17 @@ impl fmt::Display for IwaError {
                 write!(f, ")")
             }
             IwaError::Io(msg) => write!(f, "i/o error: {msg}"),
+        }
+    }
+}
+
+impl IwaError {
+    /// A [`IwaError::Parse`] at the start of `at`.
+    pub fn parse(at: Span, message: impl Into<String>) -> IwaError {
+        IwaError::Parse {
+            line: at.line as usize,
+            col: at.col as usize,
+            message: message.into(),
         }
     }
 }

@@ -23,6 +23,7 @@ use std::fmt;
 pub mod budget;
 pub mod error;
 pub mod fault;
+pub mod lex;
 pub mod obs;
 pub mod pool;
 pub mod span;
