@@ -37,8 +37,8 @@ fn closed_connections_do_not_grow_the_address_space() {
     for _ in 0..200 {
         ping(&server);
     }
-    // The last readers may still be winding down; the listener joins each
-    // on its next pass.
+    // The last readers may still be winding down, and the listener joins a
+    // finished reader only when the next connection arrives.
     let settle = Instant::now() + Duration::from_secs(5);
     let mut grown = mappings().saturating_sub(before);
     while grown >= 50 && Instant::now() < settle {

@@ -400,6 +400,31 @@ fn sequential_round_trips_do_not_wait_for_a_delayed_ack() {
     assert!(hits < Duration::from_secs(1), "{ROUNDS} cache hits took {hits:?}");
 }
 
+/// A client that opens a fresh connection per request is served at once:
+/// the listener blocks in `accept`. When it polled a non-blocking
+/// `accept` and slept 10 ms whenever none was pending, each new
+/// connection waited for the next poll, and 100 of them took about 1 s.
+#[test]
+fn fresh_connections_do_not_wait_for_a_listener_poll() {
+    const ROUNDS: u64 = 100;
+    let server = Server::start(ServeOptions::default()).unwrap();
+    let started = std::time::Instant::now();
+    for id in 1..=ROUNDS {
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let pong = client
+            .request(&Client::simple_request(id, "ping"), RECV)
+            .unwrap();
+        assert_eq!(pong["status"], "ok");
+    }
+    let elapsed = started.elapsed();
+    server.shutdown();
+    server.join();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "{ROUNDS} connect-ping-close round trips took {elapsed:?}"
+    );
+}
+
 #[test]
 fn shutdown_op_drains_the_daemon() {
     let server = Server::start(ServeOptions::default()).unwrap();

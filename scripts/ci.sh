@@ -244,6 +244,9 @@ cargo test -q -p iwa-serve --test serve chan_requests_route_through_the_channel_
 # One write per frame and TCP_NODELAY: a client waiting for each reply
 # never pays the peer's delayed ACK (100 sequential round trips < 1 s).
 cargo test -q -p iwa-serve --test serve sequential_round_trips_do_not_wait_for_a_delayed_ack
+# A listener blocked in accept: a fresh connection per request never
+# waits for a poll (100 connect-ping-close round trips < 500 ms).
+cargo test -q -p iwa-serve --test serve fresh_connections_do_not_wait_for_a_listener_poll
 
 echo "==> serve chaos: no request hangs under faults, answers match single-shot analysis"
 # Concurrent clients under a fault plan at every site (injected panics,
