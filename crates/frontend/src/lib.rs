@@ -19,7 +19,8 @@
 //! language, which adds a static livelock classification — see
 //! [`chan`]). The last two produce one IR, the [`wait`]-for graph, and
 //! share its one lowering onto the CLG. The [`registry`] resolves a
-//! frontend by file extension or explicit `--lang` name, and [`Lang`]
+//! frontend by language or file extension (a `--lang` name becomes a
+//! [`Lang`] through [`Lang::from_name`]), and [`Lang`]
 //! doubles as the lint applicability key: each lint declares which
 //! languages it speaks.
 
@@ -225,7 +226,7 @@ impl Frontend for TasklangFrontend {
     }
 }
 
-/// Frontend resolution: by language, by file extension, by `--lang` name.
+/// Frontend resolution: by language, by file extension, or both ([`registry::resolve`]).
 pub mod registry {
     use super::{ChanFrontend, Frontend, Lang, LokFrontend, Path, TasklangFrontend};
 
@@ -257,11 +258,6 @@ pub mod registry {
         all()
             .into_iter()
             .find(|f| f.extensions().contains(&ext))
-    }
-
-    /// Resolve a `--lang` name (accepts [`Lang::from_name`] aliases).
-    pub fn by_name(name: &str) -> Result<&'static dyn Frontend, String> {
-        Lang::from_name(name).map(by_lang)
     }
 
     /// The one extension→frontend policy shared by the CLI, the batch

@@ -10,18 +10,10 @@
 //! lints surface channel hygiene: starved select arms, channels sent on
 //! but never received, and unbounded buffers that only ever grow.
 
+use super::finding;
 use crate::{Diagnostic, Lang, Lint, LintPass, Severity};
 use iwa_frontend::chan::{Capacity, ChanIssue, Dir};
 use iwa_frontend::ChanModel;
-
-fn finding(lint: &Lint, span: iwa_core::Span, message: String) -> Diagnostic {
-    Diagnostic {
-        lint: lint.name.to_owned(),
-        severity: Severity::Warn,
-        message,
-        span,
-    }
-}
 
 /// `channel-cycle`: the communication dependency graph has a cycle —
 /// processes can each block at a channel port of the ring while

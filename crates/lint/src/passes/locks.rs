@@ -8,18 +8,10 @@
 //! (re-acquiring a held, non-reentrant mutex). The two `Warn` lints
 //! surface the walk's hygiene issues.
 
+use super::finding;
 use crate::{Diagnostic, Lang, Lint, LintPass, Severity};
 use iwa_frontend::lok::LockIssue;
 use iwa_frontend::LokModel;
-
-fn finding(lint: &Lint, span: iwa_core::Span, message: String) -> Diagnostic {
-    Diagnostic {
-        lint: lint.name.to_owned(),
-        severity: Severity::Warn,
-        message,
-        span,
-    }
-}
 
 /// `lock-order-cycle`: the lock-order graph has a multi-mutex cycle —
 /// threads can each hold one mutex of the ring while blocking on the

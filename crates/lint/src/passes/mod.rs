@@ -18,3 +18,16 @@ pub mod channels;
 pub mod graph;
 pub mod locks;
 pub mod structural;
+
+use crate::{Diagnostic, Lint, Severity};
+
+/// A finding of `lint` at `span`. The driver replaces its severity with
+/// the one the run's configuration gives the lint.
+fn finding(lint: &Lint, span: iwa_core::Span, message: String) -> Diagnostic {
+    Diagnostic {
+        lint: lint.name.to_owned(),
+        severity: Severity::Warn,
+        message,
+        span,
+    }
+}

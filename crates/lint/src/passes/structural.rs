@@ -1,18 +1,10 @@
 //! AST-level lints.
 
+use super::finding;
 use crate::{Diagnostic, Lang, Lint, LintContext, LintPass, Severity};
 use iwa_core::{Sign, TaskId};
 use iwa_tasklang::cfg::{self, TaskCfg};
 use iwa_tasklang::Stmt;
-
-fn warn(lint: &Lint, span: iwa_core::Span, message: String) -> Diagnostic {
-    Diagnostic {
-        lint: lint.name.to_owned(),
-        severity: Severity::Warn,
-        message,
-        span,
-    }
-}
 
 /// `self-send`: a task sends one of its own entries. Legal to write, but
 /// the rendezvous can never complete — the task cannot wait at its own
@@ -39,7 +31,7 @@ impl LintPass for SelfSend {
                     if let Stmt::Send { signal, .. } = st {
                         let receiver = p.symbols.signal_info(*signal).map(|i| i.receiver);
                         if receiver == Some(task.id) {
-                            out.push(warn(
+                            out.push(finding(
                                 self.lint(),
                                 st.span(),
                                 format!(
@@ -80,7 +72,7 @@ impl LintPass for UnmatchedSignal {
                     if let Stmt::Send { signal, .. } = st {
                         let (sends, accepts) = ctx.counts(*signal);
                         if sends > 0 && accepts == 0 {
-                            out.push(warn(
+                            out.push(finding(
                                 self.lint(),
                                 st.span(),
                                 format!(
@@ -128,7 +120,7 @@ impl LintPass for EntryNeverCalled {
                     if let Stmt::Accept { signal, .. } = st {
                         let (sends, accepts) = ctx.counts(*signal);
                         if accepts > 0 && sends == 0 {
-                            out.push(warn(
+                            out.push(finding(
                                 self.lint(),
                                 st.span(),
                                 format!(
@@ -169,7 +161,7 @@ impl LintPass for SilentTask {
             if !saw {
                 // Spans live on the *original* declaration; inlining
                 // preserves task ids and spans, so either view works.
-                out.push(warn(
+                out.push(finding(
                     self.lint(),
                     task.span,
                     format!(
@@ -214,7 +206,7 @@ impl LintPass for NeverStartedTask {
                 rv.rendezvous.sign == Sign::Minus && ctx.counts(rv.rendezvous.signal).0 == 0
             });
             if all_dead_accepts {
-                out.push(warn(
+                out.push(finding(
                     self.lint(),
                     task.span,
                     format!(
@@ -285,7 +277,7 @@ impl UnreachableStatement {
         let mut blocked_by: Option<&Stmt> = None;
         for s in block {
             if let Some(cause) = blocked_by {
-                out.push(warn(
+                out.push(finding(
                     self.lint(),
                     s.span(),
                     format!(

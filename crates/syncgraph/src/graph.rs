@@ -1,7 +1,7 @@
 //! Sync graph construction and queries.
 
 use iwa_core::{Rendezvous, Sign, SignalId, Span, Symbols, TaskId};
-use iwa_graphs::{BitSet, Csr, GraphBuilder};
+use iwa_graphs::{Csr, GraphBuilder};
 use iwa_tasklang::cfg::{self, Guard, ProgramCfg};
 use iwa_tasklang::Program;
 
@@ -238,13 +238,6 @@ impl SyncGraph {
                         .any(|&v| self.is_rendezvous(v as usize))
             })
             .collect()
-    }
-
-    /// Control-flow reachability from `n` (inclusive), staying within
-    /// control edges.
-    #[must_use]
-    pub fn control_reachable(&self, n: usize) -> BitSet {
-        self.control.reachable_from(n)
     }
 
     /// Per-task control subgraph rooted at `b`, restricted to the task's

@@ -485,17 +485,6 @@ impl TaskBuilder {
         self
     }
 
-    /// Append `send … carrying var;`.
-    pub fn send_carrying(&mut self, signal: SignalId, var: &str) -> &mut Self {
-        self.stmts.push(Stmt::Send {
-            signal,
-            carrying: Some(var.to_owned()),
-            label: None,
-            span: Span::DUMMY,
-        });
-        self
-    }
-
     /// Append `accept signal;`.
     pub fn accept(&mut self, signal: SignalId) -> &mut Self {
         self.stmts.push(Stmt::accept(signal));
@@ -508,17 +497,6 @@ impl TaskBuilder {
             signal,
             binding: None,
             label: Some(label.to_owned()),
-            span: Span::DUMMY,
-        });
-        self
-    }
-
-    /// Append `accept … binding var;`.
-    pub fn accept_binding(&mut self, signal: SignalId, var: &str) -> &mut Self {
-        self.stmts.push(Stmt::Accept {
-            signal,
-            binding: Some(var.to_owned()),
-            label: None,
             span: Span::DUMMY,
         });
         self

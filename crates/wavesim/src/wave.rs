@@ -24,12 +24,6 @@ impl Wave {
         self.0[task.index()]
     }
 
-    /// Is `task` finished on this wave?
-    #[must_use]
-    pub fn is_done(&self, task: TaskId) -> bool {
-        self.slot(task) == DONE
-    }
-
     /// Are all tasks finished (successful termination)?
     #[must_use]
     pub fn all_done(&self) -> bool {
