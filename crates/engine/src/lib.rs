@@ -29,7 +29,6 @@ pub mod ladder;
 
 pub use check::{
     check_batch, collect_sources, CheckOptions, CheckSummary, CollectedSources, FileOutcome,
-    LintStage,
 };
 pub use ladder::{
     analyze, analyze_model, analyze_wait, EngineOptions, EngineReport, EngineVerdict, Rung,

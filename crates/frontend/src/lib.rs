@@ -39,9 +39,9 @@ pub use chan::{ChanFrontend, ChanModel};
 pub use lok::{LokFrontend, LokModel};
 pub use wait::{WaitCycle, WaitEdge, WaitGraph, WaitModel};
 
-/// The source languages the analyzer understands. Doubles as the lint
-/// applicability key (`iwa_lint::Lint::applies_to`) and the wire name in
-/// reports (serialized as [`Lang::name`]).
+/// The source languages the analyzer understands. Doubles as the
+/// language a lint's check reads (`iwa_lint::Check::lang`) and the wire
+/// name in reports (serialized as [`Lang::name`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Lang {
     /// The `.iwa` rendezvous DSL (tasks, send/accept, the paper's model).

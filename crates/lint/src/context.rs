@@ -1,4 +1,4 @@
-//! Shared state lint passes read from.
+//! Shared state the tasklang lint checks read from.
 
 use iwa_analysis::AnalysisCtx;
 use iwa_core::{IwaError, SignalId, Span};
@@ -8,8 +8,8 @@ use iwa_tasklang::validate::check_model;
 use iwa_tasklang::{Program, Stmt};
 use std::cell::OnceCell;
 
-/// Everything a [`LintPass`](crate::LintPass) may consult, derived at most
-/// once per linted program.
+/// Everything a tasklang lint's [`Check`](crate::Check) may consult,
+/// derived at most once per linted program.
 ///
 /// Three views of the program coexist:
 ///
@@ -27,12 +27,13 @@ use std::cell::OnceCell;
 /// [`counts`](Self::counts)) are built up front. The graph views
 /// ([`sg`](Self::sg), [`unrolled`](Self::unrolled) and
 /// [`unrolled_sg`](Self::unrolled_sg)) are built on first use, so the
-/// quick registry, which reads none of them, builds no sync graph.
+/// quick stage, whose [`Ast`](crate::Check::Ast) checks read none of
+/// them, builds no sync graph.
 pub struct LintContext<'a> {
     /// The original program.
     pub program: &'a Program,
     /// The analysis context (budget, cancellation, workers) the
-    /// graph-level passes run under.
+    /// graph-level checks run under.
     pub ctx: &'a AnalysisCtx,
     /// The program with procedures inlined (identical to `program` when
     /// it has no calls).
@@ -126,7 +127,7 @@ impl<'a> LintContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{quick_registry, registry_for, Lang};
+    use crate::{quick_registry, registry_for, Check, Lang};
     use iwa_analysis::stall::signal_balance;
     use iwa_tasklang::{parse, ProgramBuilder};
 
@@ -153,13 +154,17 @@ mod tests {
         let ctx = AnalysisCtx::default();
         let lcx = LintContext::new(&p, &ctx).unwrap();
         let mut out = Vec::new();
-        for pass in quick_registry() {
-            pass.run(&lcx, &mut out);
+        for lint in quick_registry() {
+            if let Check::Ast(check) | Check::Graph(check) = lint.check {
+                check(lint, &lcx, &mut out);
+            }
         }
         assert!(!out.is_empty(), "the quick lints found nothing to report");
         assert_eq!(derived(&lcx), [false; 3]);
-        for pass in registry_for(Lang::Tasklang) {
-            pass.run(&lcx, &mut out);
+        for lint in registry_for(Lang::Tasklang) {
+            if let Check::Ast(check) | Check::Graph(check) = lint.check {
+                check(lint, &lcx, &mut out);
+            }
         }
         assert_eq!(derived(&lcx), [true; 3]);
         let unrolled = SyncGraph::from_program(&unroll_twice(&lcx.inlined));

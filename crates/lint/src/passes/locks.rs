@@ -9,7 +9,7 @@
 //! surface the walk's hygiene issues.
 
 use super::finding;
-use crate::{Diagnostic, Lang, Lint, LintPass, Severity};
+use crate::{Diagnostic, Lint};
 use iwa_frontend::lok::LockIssue;
 use iwa_frontend::LokModel;
 
@@ -17,34 +17,16 @@ use iwa_frontend::LokModel;
 /// threads can each hold one mutex of the ring while blocking on the
 /// next, the classic circular wait. The message carries the full
 /// witness acquisition chain with the span of every acquire site.
-pub struct LockOrderCycle;
-
-static LOCK_ORDER_CYCLE: Lint = Lint {
-    name: "lock-order-cycle",
-    default_severity: Severity::Deny,
-    description: "mutexes are acquired in a cyclic order; threads can deadlock in a circular wait",
-    applies_to: &[Lang::Lok],
-};
-
-impl LintPass for LockOrderCycle {
-    fn lint(&self) -> &'static Lint {
-        &LOCK_ORDER_CYCLE
-    }
-
-    fn run_lok(&self, model: &LokModel, out: &mut Vec<Diagnostic>) {
-        for c in &model.cycles {
-            if c.resources.len() < 2 {
-                continue; // self-cycles are `double-lock`'s
-            }
-            out.push(finding(
-                self.lint(),
-                model.lock_graph.wait.edges[c.edges[0]].wanted_span,
-                format!(
-                    "lock-order cycle: {}",
-                    model.lock_graph.render_cycle(c)
-                ),
-            ));
+pub fn lock_order_cycle(lint: &Lint, model: &LokModel, out: &mut Vec<Diagnostic>) {
+    for c in &model.cycles {
+        if c.resources.len() < 2 {
+            continue; // self-cycles are `double-lock`'s
         }
+        out.push(finding(
+            lint,
+            model.lock_graph.wait.edges[c.edges[0]].wanted_span,
+            format!("lock-order cycle: {}", model.lock_graph.render_cycle(c)),
+        ));
     }
 }
 
@@ -52,64 +34,30 @@ impl LintPass for LockOrderCycle {
 /// mutexes of this model are non-reentrant, so the second acquire waits
 /// on the thread itself — a self-deadlock, and a length-one cycle in the
 /// lock-order graph.
-pub struct DoubleLock;
-
-static DOUBLE_LOCK: Lint = Lint {
-    name: "double-lock",
-    default_severity: Severity::Deny,
-    description: "a thread may re-acquire a mutex it already holds; the second acquire self-deadlocks",
-    applies_to: &[Lang::Lok],
-};
-
-impl LintPass for DoubleLock {
-    fn lint(&self) -> &'static Lint {
-        &DOUBLE_LOCK
-    }
-
-    fn run_lok(&self, model: &LokModel, out: &mut Vec<Diagnostic>) {
-        for c in &model.cycles {
-            let [m] = c.resources[..] else { continue };
-            let e = &model.lock_graph.wait.edges[c.edges[0]];
-            out.push(finding(
-                self.lint(),
+pub fn double_lock(lint: &Lint, model: &LokModel, out: &mut Vec<Diagnostic>) {
+    for c in &model.cycles {
+        let [m] = c.resources[..] else { continue };
+        let e = &model.lock_graph.wait.edges[c.edges[0]];
+        out.push(finding(
+            lint,
+            e.wanted_span,
+            format!(
+                "thread {} locks {} ({}) while already holding it (locked at {})",
+                e.actor,
+                model.lock_graph.mutex_name(m),
                 e.wanted_span,
-                format!(
-                    "thread {} locks {} ({}) while already holding it (locked at {})",
-                    e.actor,
-                    model.lock_graph.mutex_name(m),
-                    e.wanted_span,
-                    e.held_span
-                ),
-            ));
-        }
+                e.held_span
+            ),
+        ));
     }
 }
 
 /// `unbalanced-unlock`: an `unlock` of a mutex that is held on no path
 /// to it — a no-op at best, a sign of confused pairing at worst.
-pub struct UnbalancedUnlock;
-
-static UNBALANCED_UNLOCK: Lint = Lint {
-    name: "unbalanced-unlock",
-    default_severity: Severity::Warn,
-    description: "a mutex is unlocked on a path where it is not held",
-    applies_to: &[Lang::Lok],
-};
-
-impl LintPass for UnbalancedUnlock {
-    fn lint(&self) -> &'static Lint {
-        &UNBALANCED_UNLOCK
-    }
-
-    fn run_lok(&self, model: &LokModel, out: &mut Vec<Diagnostic>) {
-        for i in &model.lock_graph.issues {
-            if let LockIssue::UnlockNotHeld { span, .. } = i {
-                out.push(finding(
-                    self.lint(),
-                    *span,
-                    model.lock_graph.render_issue(i),
-                ));
-            }
+pub fn unbalanced_unlock(lint: &Lint, model: &LokModel, out: &mut Vec<Diagnostic>) {
+    for i in &model.lock_graph.issues {
+        if let LockIssue::UnlockNotHeld { span, .. } = i {
+            out.push(finding(lint, *span, model.lock_graph.render_issue(i)));
         }
     }
 }
@@ -117,29 +65,10 @@ impl LintPass for UnbalancedUnlock {
 /// `lock-held-at-exit`: a thread's body can end with a mutex still held
 /// — nothing in this model ever releases it afterwards, so every later
 /// acquire of that mutex waits forever.
-pub struct LockHeldAtExit;
-
-static LOCK_HELD_AT_EXIT: Lint = Lint {
-    name: "lock-held-at-exit",
-    default_severity: Severity::Warn,
-    description: "a thread may exit still holding a mutex; later acquirers wait forever",
-    applies_to: &[Lang::Lok],
-};
-
-impl LintPass for LockHeldAtExit {
-    fn lint(&self) -> &'static Lint {
-        &LOCK_HELD_AT_EXIT
-    }
-
-    fn run_lok(&self, model: &LokModel, out: &mut Vec<Diagnostic>) {
-        for i in &model.lock_graph.issues {
-            if let LockIssue::ExitHolding { span, .. } = i {
-                out.push(finding(
-                    self.lint(),
-                    *span,
-                    model.lock_graph.render_issue(i),
-                ));
-            }
+pub fn lock_held_at_exit(lint: &Lint, model: &LokModel, out: &mut Vec<Diagnostic>) {
+    for i in &model.lock_graph.issues {
+        if let LockIssue::ExitHolding { span, .. } = i {
+            out.push(finding(lint, *span, model.lock_graph.render_issue(i)));
         }
     }
 }
@@ -206,8 +135,8 @@ mod tests {
         assert_eq!(lok.len(), 4);
         assert_eq!(chan.len(), 7);
         assert_eq!(iwa.len() + lok.len() + chan.len(), crate::registry().len());
-        for p in lok.iter().chain(&chan) {
-            assert!(!p.lint().applies_to.contains(&Lang::Tasklang));
+        for l in lok.iter().chain(&chan) {
+            assert_ne!(l.check.lang(), Lang::Tasklang);
         }
     }
 

@@ -1,11 +1,12 @@
-//! The lint catalog.
+//! The checks behind the lint catalog ([`CATALOG`](crate::CATALOG)
+//! names each one in its record's [`Check`](crate::Check)).
 //!
 //! Four families:
 //!
-//! * [`structural`] — AST-level passes over the parsed (and, where noted,
+//! * [`structural`] — AST-level checks over the parsed (and, where noted,
 //!   inlined) program: the migrated `validate` census plus reachability
 //!   and liveness checks that need no sync-graph analysis;
-//! * [`graph`] — passes that run the paper's analyses (stall balance,
+//! * [`graph`] — checks that run the paper's analyses (stall balance,
 //!   refined deadlock certification) through the shared
 //!   [`AnalysisCtx`](iwa_analysis::AnalysisCtx) and map the graph-level
 //!   findings back to source spans;

@@ -30,20 +30,17 @@ fn s(text: &str) -> Value {
 /// `"error"`.
 #[must_use]
 pub fn to_sarif(files: &[(String, Vec<Diagnostic>)]) -> Value {
-    let mut rules: Vec<Value> = registry()
+    let mut lints = registry();
+    lints.sort_by_key(|l| l.name);
+    let rules: Vec<Value> = lints
         .iter()
-        .map(|p| {
-            let l = p.lint();
+        .map(|l| {
             obj(vec![
                 ("id", s(l.name)),
                 ("shortDescription", obj(vec![("text", s(l.description))])),
             ])
         })
         .collect();
-    rules.sort_by(|a, b| {
-        let id = |v: &Value| v.get("id").and_then(Value::as_str).unwrap_or("").to_owned();
-        id(a).cmp(&id(b))
-    });
 
     let mut results = Vec::new();
     for (path, diags) in files {

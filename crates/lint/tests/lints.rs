@@ -145,7 +145,7 @@ fn severity_overrides_and_deny_warnings_change_the_outcome() {
     let allow_all = LintConfig {
         levels: registry()
             .iter()
-            .map(|pass| (pass.lint().name.to_owned(), Severity::Allow))
+            .map(|l| (l.name.to_owned(), Severity::Allow))
             .collect(),
         deny_warnings: false,
     };
