@@ -661,15 +661,8 @@ fn naive_floor(p: &Program, metrics: &Metrics) -> (EngineVerdict, Vec<String>) {
 }
 
 fn describe_node(sg: &SyncGraph, node: usize) -> String {
-    let d = sg.node(node);
-    let label = d.label.clone().unwrap_or_else(|| {
-        format!(
-            "{}{}",
-            sg.symbols.signal_name(d.rendezvous.signal),
-            d.rendezvous.sign
-        )
-    });
-    format!("{}:{}", sg.symbols.task_name(d.task), label)
+    let task = sg.symbols.task_name(sg.node(node).task);
+    format!("{task}:{}", sg.node_name(node))
 }
 
 fn describe_anomaly(sg: &SyncGraph, report: &AnomalyReport) -> String {

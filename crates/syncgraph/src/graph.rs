@@ -161,6 +161,20 @@ impl SyncGraph {
         &self.nodes[n - FIRST_RV]
     }
 
+    /// The display name of rendezvous node `n`: its source label, or
+    /// else its signal name and sign (`m+`).
+    #[must_use]
+    pub fn node_name(&self, n: usize) -> String {
+        let d = self.node(n);
+        match &d.label {
+            Some(label) => label.clone(),
+            None => {
+                let signal = self.symbols.signal_name(d.rendezvous.signal);
+                format!("{signal}{}", d.rendezvous.sign)
+            }
+        }
+    }
+
     /// Sync neighbours of `n` (empty for `b`/`e`).
     #[must_use]
     pub fn sync_neighbors(&self, n: usize) -> &[u32] {

@@ -71,14 +71,8 @@ impl WitnessStep {
     #[must_use]
     pub fn render(&self, sg: &SyncGraph) -> String {
         let name = |n: usize| {
-            let d = sg.node(n);
-            let label = d
-                .label
-                .clone()
-                .unwrap_or_else(|| {
-                    format!("{}{}", sg.symbols.signal_name(d.rendezvous.signal), d.rendezvous.sign)
-                });
-            format!("{}:{}", sg.symbols.task_name(d.task), label)
+            let task = sg.symbols.task_name(sg.node(n).task);
+            format!("{task}:{}", sg.node_name(n))
         };
         format!("{} ⇄ {}", name(self.a), name(self.b))
     }

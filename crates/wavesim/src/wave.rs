@@ -67,12 +67,7 @@ impl Wave {
             if s == DONE {
                 parts.push(format!("{task}: e"));
             } else {
-                let d = sg.node(s as usize);
-                let at = d
-                    .label
-                    .clone()
-                    .unwrap_or_else(|| format!("{}{}", sg.symbols.signal_name(d.rendezvous.signal), d.rendezvous.sign));
-                parts.push(format!("{task}: {at}"));
+                parts.push(format!("{task}: {}", sg.node_name(s as usize)));
             }
         }
         format!("[{}]", parts.join(", "))
