@@ -37,8 +37,8 @@
 //!
 //! Example: `parse=panic:times=1;certify=sleep:250:skip=2` — the first
 //! parse panics, and every certification after the second stalls 250 ms.
-//!
-//! [`FaultPlan::from_env`] reads a plan spec from [`FAULT_PLAN_ENV`].
+//! A plan reaches the code as a value (`EngineOptions::faults`,
+//! `ServeOptions::faults`); the CLI parses it from `--fault`.
 
 use crate::error::IwaError;
 use std::fmt;
@@ -46,9 +46,6 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Environment variable holding a full [`FaultPlan`] spec.
-pub const FAULT_PLAN_ENV: &str = "IWA_FAULT_PLAN";
 
 /// A named injection site — a point in the engine or serve daemon where
 /// a fault plan may interpose.
@@ -240,15 +237,6 @@ impl FaultPlan {
         Ok(FaultPlan {
             rules: Arc::new(rules),
         })
-    }
-
-    /// Read a plan from [`FAULT_PLAN_ENV`]. `Ok(None)` when it is unset
-    /// or empty.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var(FAULT_PLAN_ENV).ok().filter(|s| !s.is_empty()) {
-            Some(spec) => FaultPlan::parse(&spec).map(Some),
-            None => Ok(None),
-        }
     }
 
     /// `true` when the plan has no rules (and [`decide`](Self::decide)
