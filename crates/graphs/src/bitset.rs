@@ -128,25 +128,6 @@ impl BitSet {
         }
     }
 
-    /// `true` if the sets share at least one element.
-    #[must_use]
-    pub fn intersects(&self, other: &BitSet) -> bool {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .any(|(a, b)| a & b != 0)
-    }
-
-    /// `true` if every element of `self` is in `other`.
-    #[must_use]
-    pub fn is_subset_of(&self, other: &BitSet) -> bool {
-        assert_eq!(self.len, other.len, "bitset universe mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
-    }
-
     /// Iterate over set elements in increasing order.
     pub fn iter(&self) -> IterOnes<'_> {
         self.iter_ones()
@@ -334,15 +315,6 @@ impl BitMatrix {
         }
     }
 
-    /// Number of set bits in row `r`.
-    #[must_use]
-    pub fn row_count(&self, r: usize) -> usize {
-        let wpr = self.words_per_row;
-        self.words[r * wpr..(r + 1) * wpr]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -373,7 +345,6 @@ mod tests {
         a.insert(70);
         b.insert(70);
         b.insert(99);
-        assert!(a.intersects(&b));
         let mut u = a.clone();
         assert!(u.union_with(&b));
         assert!(!u.union_with(&b));
@@ -384,8 +355,6 @@ mod tests {
         let mut d = a.clone();
         d.difference_with(&b);
         assert_eq!(d.to_vec(), vec![1]);
-        assert!(i.is_subset_of(&a));
-        assert!(!a.is_subset_of(&b));
     }
 
     #[test]
@@ -439,7 +408,6 @@ mod tests {
         assert!(m.or_row_into(1, 0));
         assert!(!m.or_row_into(1, 0));
         assert_eq!(m.row_iter(0).collect::<Vec<_>>(), vec![0, 64, 129]);
-        assert_eq!(m.row_count(0), 3);
         m.unset(0, 64);
         assert!(!m.get(0, 64));
         assert_eq!(m.row(1).to_vec(), vec![0, 64]);

@@ -248,19 +248,6 @@ impl<L> Csr<L> {
         b.freeze()
     }
 
-    /// The reverse graph (labels preserved).
-    #[must_use]
-    pub fn reversed(&self) -> Csr<L>
-    where
-        L: Clone,
-    {
-        let mut b = GraphBuilder::with_nodes(self.num_nodes());
-        for (u, v, l) in self.edges() {
-            b.add_edge(v, u, l.clone());
-        }
-        b.freeze()
-    }
-
     /// Forward reachability from `start` (inclusive), honouring `enabled`
     /// edges only.
     #[must_use]
@@ -289,25 +276,6 @@ impl<L> Csr<L> {
     #[must_use]
     pub fn reachable_from(&self, start: usize) -> BitSet {
         self.reachable_from_filtered(start, |_, _, _| true)
-    }
-
-    /// Forward reachability from every node in `starts` (inclusive).
-    #[must_use]
-    pub fn reachable_from_set(&self, starts: &BitSet) -> BitSet {
-        let mut seen = BitSet::new(self.num_nodes());
-        let mut stack: Vec<usize> = starts.iter().collect();
-        for &s in &stack {
-            seen.insert(s);
-        }
-        while let Some(u) = stack.pop() {
-            for &v in self.successors(u) {
-                let v = v as usize;
-                if seen.insert(v) {
-                    stack.push(v);
-                }
-            }
-        }
-        seen
     }
 }
 
@@ -422,31 +390,12 @@ mod tests {
     }
 
     #[test]
-    fn reachable_from_set_unions_sources() {
-        let g = Csr::from_edges(6, &[(0, 1), (2, 3), (4, 5)]);
-        let mut s = BitSet::new(6);
-        s.insert(0);
-        s.insert(2);
-        let r = g.reachable_from_set(&s);
-        assert_eq!(r.to_vec(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     fn filtered_drops_nodes_and_edges() {
         let g = Csr::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let f = g.filtered(|n| n != 2, |_, _, _| true);
         assert_eq!(f.num_edges(), 2); // 0→1 and 3→0 survive
         assert!(f.has_edge(0, 1));
         assert!(f.has_edge(3, 0));
-    }
-
-    #[test]
-    fn reversed_flips_edges() {
-        let g = Csr::from_edges(3, &[(0, 1), (1, 2)]);
-        let r = g.reversed();
-        assert!(r.has_edge(1, 0));
-        assert!(r.has_edge(2, 1));
-        assert!(!r.has_edge(0, 1));
     }
 
     #[test]

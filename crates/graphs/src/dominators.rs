@@ -120,14 +120,6 @@ impl Dominators {
             v = self.idom[v];
         }
     }
-
-    /// All nodes dominated by `a` (including `a`), among reachable nodes.
-    #[must_use]
-    pub fn dominated_by(&self, a: usize) -> Vec<usize> {
-        (0..self.idom.len())
-            .filter(|&v| self.is_reachable(v) && self.dominates(a, v))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -179,12 +171,5 @@ mod tests {
         assert_eq!(d.idom(2), Some(1));
         assert_eq!(d.idom(3), Some(2));
         assert!(d.dominates(1, 3));
-    }
-
-    #[test]
-    fn dominated_by_lists_subtree() {
-        let d = Dominators::compute(&diamond(), 0);
-        assert_eq!(d.dominated_by(3), vec![3, 4]);
-        assert_eq!(d.dominated_by(0).len(), 5);
     }
 }
