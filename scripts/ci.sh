@@ -20,30 +20,28 @@ cargo test --offline --manifest-path perfbench/Cargo.toml
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> multi-job determinism: iwa check corpus -j 1/2/8 agree byte-for-byte"
+echo "==> multi-job determinism: iwa check -j 1/2/8 agree byte-for-byte on each corpus"
 # A step budget (not a wall-clock one) keeps trip-vs-complete independent
 # of scheduling. Only the wall-clock fields (elapsed_ms, wall_ms) may vary
 # between runs, so mask exactly those — everything else, the meta.metrics
 # counters included, is diffed raw. This also exercises the worker pool
-# end to end on every CI run.
+# end to end on every CI run. Each directory deliberately contains
+# anomalies, so each run must exit 1; anything else is a real failure.
 mask='s/"elapsed_ms": [0-9][0-9]*/"elapsed_ms": 0/g;s/"wall_ms": [0-9][0-9]*/"wall_ms": 0/g'
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-for j in 1 2 8; do
-    status=0
-    ./target/release/iwa check corpus --json --max-steps 200000 -j "$j" \
-        > "$tmpdir/raw-j$j.json" || status=$?
-    # Exit 1 only means the corpus contains anomalies (it deliberately
-    # does); anything else is a real failure.
-    [ "$status" -eq 0 ] || [ "$status" -eq 1 ] || {
-        echo "iwa check -j $j exited $status" >&2
-        exit "$status"
-    }
-    grep -q '"schema_version"' "$tmpdir/raw-j$j.json"
-    sed "$mask" "$tmpdir/raw-j$j.json" > "$tmpdir/check-j$j.json"
+for dir in corpus corpus/locks corpus/channels; do
+    for j in 1 2 8; do
+        status=0
+        ./target/release/iwa check "$dir" --json --max-steps 200000 -j "$j" \
+            > "$tmpdir/raw-j$j.json" || status=$?
+        [ "$status" -eq 1 ] || { echo "iwa check $dir -j $j exited $status, want 1" >&2; exit 1; }
+        grep -q '"schema_version"' "$tmpdir/raw-j$j.json"
+        sed "$mask" "$tmpdir/raw-j$j.json" > "$tmpdir/check-j$j.json"
+    done
+    diff "$tmpdir/check-j1.json" "$tmpdir/check-j2.json"
+    diff "$tmpdir/check-j1.json" "$tmpdir/check-j8.json"
 done
-diff "$tmpdir/check-j1.json" "$tmpdir/check-j2.json"
-diff "$tmpdir/check-j1.json" "$tmpdir/check-j8.json"
 
 echo "==> check golden: iwa check corpus --json matches tests/golden byte-for-byte"
 # The stage above compares job counts only against each other, and the
@@ -66,20 +64,24 @@ echo "==> bench trajectory gate"
 # stays anchored to the committed record.
 ./target/release/iwa bench --smoke --validate --no-history
 
-echo "==> lint goldens: iwa lint corpus matches tests/golden byte-for-byte"
-# Exit 1 is expected: the fixture corpus deliberately contains denials.
-status=0
-./target/release/iwa lint corpus --format text > "$tmpdir/lint.txt" || status=$?
-[ "$status" -eq 1 ] || { echo "iwa lint (text) exited $status, want 1" >&2; exit 1; }
-diff tests/golden/corpus_lints.txt "$tmpdir/lint.txt"
-status=0
-./target/release/iwa lint corpus --format sarif > "$tmpdir/lint.sarif" || status=$?
-[ "$status" -eq 1 ] || { echo "iwa lint (sarif) exited $status, want 1" >&2; exit 1; }
-grep -q '"\$schema": "https://json.schemastore.org/sarif-2.1.0.json"' "$tmpdir/lint.sarif"
-diff tests/golden/corpus_lints.sarif "$tmpdir/lint.sarif"
+echo "==> lint goldens: iwa lint on each corpus matches tests/golden byte-for-byte"
+# Text and SARIF per directory, each against tests/golden/<golden>.txt and
+# .sarif. Exit 1 is expected: each directory deliberately contains denials.
+for pair in corpus:corpus_lints corpus/locks:corpus_locks corpus/channels:corpus_channels; do
+    dir="${pair%%:*}"
+    golden="tests/golden/${pair#*:}"
+    for format in text sarif; do
+        ext=txt
+        [ "$format" = text ] || ext=sarif
+        status=0
+        ./target/release/iwa lint "$dir" --format "$format" > "$tmpdir/lint.$ext" || status=$?
+        [ "$status" -eq 1 ] || { echo "iwa lint $dir ($format) exited $status, want 1" >&2; exit 1; }
+        diff "$golden.$ext" "$tmpdir/lint.$ext"
+    done
+    grep -q '"\$schema": "https://json.schemastore.org/sarif-2.1.0.json"' "$tmpdir/lint.sarif"
+done
 
-
-echo "==> locks corpus: analyze/lint/check drive the .lok frontend end to end"
+echo "==> locks corpus: analyze drives the .lok frontend end to end"
 # The seeded acceptance case: the three-mutex ring is anomalous with a
 # span-anchored acquisition-chain witness.
 status=0
@@ -87,27 +89,8 @@ status=0
 [ "$status" -eq 1 ] || { echo "analyze three_cycle.lok exited $status, want 1" >&2; exit 1; }
 grep -q 'a → b → c → a' "$tmpdir/three_cycle.txt"
 grep -q 'holds a (6:13) while locking b (6:21)' "$tmpdir/three_cycle.txt"
-# Multi-job determinism over the locks corpus (same masking as above).
-for j in 1 2 8; do
-    status=0
-    ./target/release/iwa check corpus/locks --json --max-steps 200000 -j "$j" \
-        > "$tmpdir/locks-raw-j$j.json" || status=$?
-    [ "$status" -eq 1 ] || { echo "iwa check corpus/locks -j $j exited $status" >&2; exit 1; }
-    sed "$mask" "$tmpdir/locks-raw-j$j.json" > "$tmpdir/locks-j$j.json"
-done
-diff "$tmpdir/locks-j1.json" "$tmpdir/locks-j2.json"
-diff "$tmpdir/locks-j1.json" "$tmpdir/locks-j8.json"
-# Lock-lint goldens, text and SARIF (exit 1: the corpus has denials).
-status=0
-./target/release/iwa lint corpus/locks --format text > "$tmpdir/locks-lint.txt" || status=$?
-[ "$status" -eq 1 ] || { echo "iwa lint corpus/locks (text) exited $status, want 1" >&2; exit 1; }
-diff tests/golden/corpus_locks.txt "$tmpdir/locks-lint.txt"
-status=0
-./target/release/iwa lint corpus/locks --format sarif > "$tmpdir/locks-lint.sarif" || status=$?
-[ "$status" -eq 1 ] || { echo "iwa lint corpus/locks (sarif) exited $status, want 1" >&2; exit 1; }
-diff tests/golden/corpus_locks.sarif "$tmpdir/locks-lint.sarif"
 
-echo "==> channels corpus: analyze/lint/check drive the .chan frontend end to end"
+echo "==> channels corpus: analyze drives the .chan frontend end to end"
 # The seeded acceptance case: the default-spinning poller is anomalous
 # with a span-anchored livelock witness and a starved-arm rationale.
 status=0
@@ -115,25 +98,6 @@ status=0
 [ "$status" -eq 1 ] || { echo "analyze select_default_spin.chan exited $status, want 1" >&2; exit 1; }
 grep -q 'spins on select default' "$tmpdir/spin.txt"
 grep -q 'can never fire' "$tmpdir/spin.txt"
-# Multi-job determinism over the channels corpus (same masking as above).
-for j in 1 2 8; do
-    status=0
-    ./target/release/iwa check corpus/channels --json --max-steps 200000 -j "$j" \
-        > "$tmpdir/channels-raw-j$j.json" || status=$?
-    [ "$status" -eq 1 ] || { echo "iwa check corpus/channels -j $j exited $status" >&2; exit 1; }
-    sed "$mask" "$tmpdir/channels-raw-j$j.json" > "$tmpdir/channels-j$j.json"
-done
-diff "$tmpdir/channels-j1.json" "$tmpdir/channels-j2.json"
-diff "$tmpdir/channels-j1.json" "$tmpdir/channels-j8.json"
-# Channel-lint goldens, text and SARIF (exit 1: the corpus has denials).
-status=0
-./target/release/iwa lint corpus/channels --format text > "$tmpdir/channels-lint.txt" || status=$?
-[ "$status" -eq 1 ] || { echo "iwa lint corpus/channels (text) exited $status, want 1" >&2; exit 1; }
-diff tests/golden/corpus_channels.txt "$tmpdir/channels-lint.txt"
-status=0
-./target/release/iwa lint corpus/channels --format sarif > "$tmpdir/channels-lint.sarif" || status=$?
-[ "$status" -eq 1 ] || { echo "iwa lint corpus/channels (sarif) exited $status, want 1" >&2; exit 1; }
-diff tests/golden/corpus_channels.sarif "$tmpdir/channels-lint.sarif"
 
 echo "==> corpus verdicts: plain iwa analyze answers every // expect: header"
 # Default flags only: the ladder from the oracle rung under a 2000 ms
@@ -247,6 +211,9 @@ cargo test -q -p iwa-serve --test serve sequential_round_trips_do_not_wait_for_a
 # A listener blocked in accept: a fresh connection per request never
 # waits for a poll (100 connect-ping-close round trips < 500 ms).
 cargo test -q -p iwa-serve --test serve fresh_connections_do_not_wait_for_a_listener_poll
+# The check op answers with the quick-lint diagnostics iwa check prints
+# (each corpus/lints file's list equals its check_corpus.json entry).
+cargo test -q -p iwa-serve --test serve check_op_carries_the_quick_lint_diagnostics
 
 echo "==> serve chaos: no request hangs under faults, answers match single-shot analysis"
 # Concurrent clients under a fault plan at every site (injected panics,
