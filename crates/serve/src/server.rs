@@ -830,8 +830,7 @@ fn run_request(shared: &Arc<Shared>, req: &Request, deadline: Duration, cancel: 
             };
             let budget = Budget::with_deadline(deadline).and_cancel_token(cancel.clone());
             let ctx = iwa_analysis::AnalysisCtx::builder().budget(budget).build();
-            // A budget-tripped graph lint degrades to silence, matching
-            // the batch checker's behaviour.
+            // A budget-tripped graph lint degrades to silence.
             let diagnostics =
                 match lint_model(&ctx, &model, &LintConfig::default(), &registry_for(lang)) {
                     Ok(d) => d,
