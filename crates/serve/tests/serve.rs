@@ -339,6 +339,84 @@ fn graceful_drain_answers_every_inflight_request() {
     );
 }
 
+/// The exact words the daemon answers with at its two fault sites and at
+/// the end of a drain: an injected parse io-error is an `error` naming
+/// the site, a cache-lookup fault is a miss, and a drain that runs out of
+/// time cancels the queued request first and the running one second.
+#[test]
+fn fault_sites_and_drain_answer_with_pinned_words() {
+    let server = Server::start(ServeOptions {
+        faults: plan("parse=io-error:times=1"),
+        ..ServeOptions::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let resp = client
+        .request(&Client::analyze_request(7, CLEAN, Some(5_000)), RECV)
+        .unwrap();
+    assert_eq!(resp["status"], "error", "unexpected response: {resp:?}");
+    assert_eq!(resp["id"], 7);
+    assert_eq!(resp["error"], "injected io-error at site parse (<inline>)");
+    server.shutdown();
+    server.join();
+
+    let server = Server::start(ServeOptions {
+        faults: plan("cache-lookup=io-error:times=2"),
+        ..ServeOptions::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for (id, cached) in [(1, false), (2, false), (3, true)] {
+        let resp = client
+            .request(&Client::analyze_request(id, CLEAN, Some(5_000)), RECV)
+            .unwrap();
+        assert_eq!(resp["status"], "ok", "unexpected response: {resp:?}");
+        assert_eq!(resp["cached"], cached, "request {id}: {resp:?}");
+    }
+    server.shutdown();
+    let stats = server.join();
+    assert_eq!((stats.cache_misses, stats.cache_hits), (2, 1), "{stats:?}");
+
+    let server = Server::start(ServeOptions {
+        workers: 1,
+        faults: plan("parse=sleep:1000:times=1"),
+        drain_timeout: Duration::from_millis(200),
+        ..ServeOptions::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for id in [1, 2] {
+        client
+            .send(&Client::analyze_request(id, CLEAN, Some(5_000)))
+            .unwrap();
+    }
+    let admitted_deadline = std::time::Instant::now() + RECV;
+    while server.stats().received < 2 {
+        assert!(
+            std::time::Instant::now() < admitted_deadline,
+            "requests never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.shutdown();
+    let drain = std::thread::spawn(move || server.join());
+    for (id, error) in [
+        (2, "server shut down before the request was scheduled"),
+        (1, "server shut down while the request was running"),
+    ] {
+        let resp = client.recv(RECV).expect("the drain answers every request");
+        assert_eq!(resp["id"], id, "unexpected response: {resp:?}");
+        assert_eq!(resp["status"], "cancelled");
+        assert_eq!(resp["error"], error);
+    }
+    let stats = drain.join().unwrap();
+    assert_eq!(
+        (stats.received, stats.cancelled, stats.ok),
+        (2, 2, 0),
+        "{stats:?}"
+    );
+}
+
 #[test]
 fn stats_op_reports_live_counters() {
     let server = Server::start(ServeOptions::default()).unwrap();

@@ -214,6 +214,9 @@ cargo test -q -p iwa-serve --test serve fresh_connections_do_not_wait_for_a_list
 # The check op answers with the quick-lint diagnostics iwa check prints
 # (each corpus/lints file's list equals its check_corpus.json entry).
 cargo test -q -p iwa-serve --test serve check_op_carries_the_quick_lint_diagnostics
+# The exact answers at the serve fault sites (parse io-error, cache-lookup
+# miss) and at the end of a drain (queued, then running, both cancelled).
+cargo test -q -p iwa-serve --test serve fault_sites_and_drain_answer_with_pinned_words
 
 echo "==> serve chaos: no request hangs under faults, answers match single-shot analysis"
 # Concurrent clients under a fault plan at every site (injected panics,
