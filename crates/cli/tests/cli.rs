@@ -38,6 +38,19 @@ fn fixtures_are_listed() {
 }
 
 #[test]
+fn langs_lists_every_frontend_in_registry_order() {
+    let (out, err, code) = iwa(&["langs"]);
+    assert_eq!(code, Some(0), "{err}");
+    assert_eq!(
+        out,
+        "iwa    .iwa    rendezvous tasks over send/accept signals (Masticola & Ryder's model)\n\
+         lok    .lok    threads acquiring/releasing named mutexes; deadlocks are lock-order cycles\n\
+         chan   .chan   processes over channels with select/close; deadlocks are port-wait \
+         cycles, plus static livelock classification\n"
+    );
+}
+
+#[test]
 fn analyzing_a_clean_fixture_exits_zero() {
     // lemma2 is deadlock-flagged at base tier, but the pair tier plus the
     // balanced counts make it fully clean.
