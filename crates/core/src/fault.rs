@@ -66,7 +66,7 @@ pub enum FaultSite {
     CheckFile,
 }
 
-/// All sites, in a stable order (used by docs and the chaos suite).
+/// All sites, in a stable order.
 pub const ALL_SITES: [FaultSite; 6] = [
     FaultSite::Parse,
     FaultSite::Certify,
@@ -239,19 +239,12 @@ impl FaultPlan {
         })
     }
 
-    /// `true` when the plan has no rules (and [`decide`](Self::decide)
-    /// can never fire).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
     /// Record one hit of `site` with `label` against every matching rule
     /// and return the action of the first rule whose trigger window is
     /// open. Every matching rule's counter advances even when an earlier
     /// rule fires, so per-rule counts stay equal to the site hit count.
     #[must_use]
-    pub fn decide(&self, site: FaultSite, label: &str) -> Option<FaultAction> {
+    fn decide(&self, site: FaultSite, label: &str) -> Option<FaultAction> {
         let mut fired = None;
         for rule in self.rules.iter() {
             if rule.site != site {
@@ -270,10 +263,11 @@ impl FaultPlan {
         fired
     }
 
-    /// [`decide`](Self::decide) and apply: panic for
-    /// [`FaultAction::Panic`], sleep then `Ok` for
+    /// Record one hit of `site` with `label` against every matching rule
+    /// and apply the action of the first rule whose trigger window is
+    /// open: panic for [`FaultAction::Panic`], sleep then `Ok` for
     /// [`FaultAction::Sleep`], and `Err` carrying the injected
-    /// [`IwaError`] for the two error actions.
+    /// [`IwaError`] for the two error actions; `Ok` when no rule fires.
     ///
     /// # Panics
     ///
@@ -310,7 +304,7 @@ mod tests {
     #[test]
     fn an_empty_spec_never_fires() {
         let plan = FaultPlan::parse("").unwrap();
-        assert!(plan.is_empty());
+        assert!(plan.rules.is_empty());
         assert_eq!(plan.decide(FaultSite::Parse, "x"), None);
         plan.fire(FaultSite::Certify, "x").unwrap();
     }

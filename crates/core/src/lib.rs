@@ -31,7 +31,7 @@ pub mod symbols;
 
 pub use budget::{Budget, CancelToken};
 pub use error::{panic_message, IwaError};
-pub use fault::{FaultAction, FaultPlan, FaultSite};
+pub use fault::{FaultPlan, FaultSite};
 pub use obs::{Counters, Meta, Metrics, SpanGuard, TraceSink};
 pub use span::Span;
 pub use symbols::Symbols;

@@ -90,7 +90,7 @@ impl Client {
     }
 
     /// Build an `analyze` request for an explicit source language
-    /// (`iwa`, `lok`).
+    /// (`iwa`, `lok`, `chan`).
     #[must_use]
     pub fn analyze_request_lang(
         id: u64,

@@ -189,8 +189,8 @@ pub struct Request {
     pub deadline_ms: Option<u64>,
     /// Most precise ladder rung to attempt (`oracle` … `naive`).
     pub start: Option<String>,
-    /// Source language (`iwa`, `lok`). When absent the server resolves
-    /// by the `name` extension, falling back to `iwa`.
+    /// Source language (`iwa`, `lok`, `chan`). When absent the server
+    /// resolves by the `name` extension, falling back to `iwa`.
     pub lang: Option<String>,
 }
 
@@ -203,11 +203,10 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
         .get("op")
         .and_then(Value::as_str)
         .ok_or_else(|| "request is missing the 'op' field".to_owned())?;
-    let op = Op::parse(op)?;
     let string_field = |key: &str| v.get(key).and_then(Value::as_str).map(str::to_owned);
     let req = Request {
         id: v.get("id").cloned().unwrap_or(Value::Null),
-        op,
+        op: Op::parse(op)?,
         source: string_field("source"),
         path: string_field("path"),
         name: string_field("name"),
@@ -222,21 +221,10 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
     }
     match req.op {
         Op::Analyze | Op::Lint if req.source.is_none() => {
-            Err(format!("op '{}' requires a 'source' field", op_name(req.op)))
+            Err(format!("op '{op}' requires a 'source' field"))
         }
         Op::Check if req.path.is_none() => Err("op 'check' requires a 'path' field".to_owned()),
         _ => Ok(req),
-    }
-}
-
-fn op_name(op: Op) -> &'static str {
-    match op {
-        Op::Ping => "ping",
-        Op::Analyze => "analyze",
-        Op::Lint => "lint",
-        Op::Check => "check",
-        Op::Stats => "stats",
-        Op::Shutdown => "shutdown",
     }
 }
 

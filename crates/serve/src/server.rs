@@ -27,8 +27,8 @@
 
 use crate::cache::{cache_key, VerdictCache};
 use crate::proto::{encode_frame, parse_request, Frame, FrameReader, Op, Request, Response};
-use iwa_core::fault::{FaultAction, FaultPlan, FaultSite};
-use iwa_core::{panic_message, Budget, CancelToken};
+use iwa_core::fault::{FaultPlan, FaultSite};
+use iwa_core::{panic_message, Budget, CancelToken, IwaError};
 use iwa_engine::{CheckOptions, EngineOptions, Rung};
 use iwa_frontend::{registry as frontends, Lang};
 use iwa_lint::{lint_model, registry_for, LintConfig};
@@ -37,8 +37,9 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -121,18 +122,12 @@ pub struct ServeStats {
     pub p99_us: u64,
 }
 
+/// The daemon's counters: every [`ServeStats`] field but the cache and
+/// percentile ones, which [`Shared::snapshot`] fills in, plus the
+/// latency samples the percentiles are read from.
 #[derive(Debug, Default)]
 struct StatsInner {
-    received: u64,
-    ok: u64,
-    errors: u64,
-    shed: u64,
-    draining_rejects: u64,
-    timeouts: u64,
-    cancelled: u64,
-    panics_isolated: u64,
-    failed_writes: u64,
-    workers_replaced: u64,
+    counts: ServeStats,
     latencies_us: VecDeque<u64>,
 }
 
@@ -145,6 +140,21 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     }
     let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
+}
+
+/// Lock `m`, recovering the data of a poisoned mutex: a panic is isolated
+/// to its request, so the state it guarded is still the daemon's.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Claim the right to answer a request. The worker, the watchdog and the
+/// drain each call this on the request's one flag before they answer;
+/// exactly one of them wins.
+fn claim(responded: &AtomicBool) -> bool {
+    responded
+        .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+        .is_ok()
 }
 
 /// A shared handle on one connection's write half. Responses from the
@@ -174,8 +184,7 @@ impl ConnWriter {
                     .map_err(|e| io::Error::other(e.to_string()))?;
             }
             let frame = encode_frame(&resp.to_bytes())?;
-            let mut stream = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
-            stream.write_all(&frame)
+            lock(&self.stream).write_all(&frame)
         }));
         matches!(outcome, Ok(Ok(())))
     }
@@ -188,6 +197,7 @@ struct Job {
     admitted: Instant,
 }
 
+#[derive(Clone)]
 struct Inflight {
     cancel: CancelToken,
     soft: Instant,
@@ -196,7 +206,6 @@ struct Inflight {
     id: Value,
     admitted: Instant,
     responded: Arc<AtomicBool>,
-    abandoned: Arc<AtomicBool>,
 }
 
 struct Shared {
@@ -214,76 +223,66 @@ struct Shared {
 }
 
 impl Shared {
-    fn stats(&self) -> std::sync::MutexGuard<'_, StatsInner> {
-        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn snapshot(&self) -> ServeStats {
         let (cache_hits, cache_misses) = self.cache.stats();
-        let g = self.stats();
+        let g = lock(&self.stats);
         let mut lat: Vec<u64> = g.latencies_us.iter().copied().collect();
         lat.sort_unstable();
         ServeStats {
-            received: g.received,
-            ok: g.ok,
-            errors: g.errors,
-            shed: g.shed,
-            draining_rejects: g.draining_rejects,
-            timeouts: g.timeouts,
-            cancelled: g.cancelled,
-            panics_isolated: g.panics_isolated,
-            failed_writes: g.failed_writes,
-            workers_replaced: g.workers_replaced,
             cache_hits,
             cache_misses,
             p50_us: percentile(&lat, 0.50),
             p99_us: percentile(&lat, 0.99),
+            ..g.counts.clone()
         }
     }
 
-    /// Count a response's status, and for an admitted request its
-    /// latency, *before* the frame is written, so a client that receives
-    /// the response and immediately asks for stats always sees its own
-    /// request reflected (no counter race).
-    fn count_status(&self, status: &str, admitted: Option<Instant>) {
-        let mut g = self.stats();
-        if let Some(admitted) = admitted {
-            let us = u64::try_from(admitted.elapsed().as_micros()).unwrap_or(u64::MAX);
-            if g.latencies_us.len() >= LATENCY_RING {
-                g.latencies_us.pop_front();
+    /// The one path every response leaves by. The status, and for an
+    /// admitted request its admission → response latency, are counted
+    /// *before* the frame is written, so a client that receives the
+    /// response and immediately asks for stats always sees its own
+    /// request reflected (no counter race); a failed write is counted
+    /// after.
+    fn respond(&self, conn: &ConnWriter, resp: &Response, admitted: Option<Instant>) {
+        {
+            let mut g = lock(&self.stats);
+            match resp.status.as_str() {
+                "ok" => g.counts.ok += 1,
+                "error" => g.counts.errors += 1,
+                "shed" => g.counts.shed += 1,
+                "draining" => g.counts.draining_rejects += 1,
+                "timeout" => g.counts.timeouts += 1,
+                "cancelled" => g.counts.cancelled += 1,
+                _ => {}
             }
-            g.latencies_us.push_back(us);
+            if let Some(admitted) = admitted {
+                let us = u64::try_from(admitted.elapsed().as_micros()).unwrap_or(u64::MAX);
+                if g.latencies_us.len() >= LATENCY_RING {
+                    g.latencies_us.pop_front();
+                }
+                g.latencies_us.push_back(us);
+            }
         }
-        match status {
-            "ok" => g.ok += 1,
-            "error" => g.errors += 1,
-            "shed" => g.shed += 1,
-            "draining" => g.draining_rejects += 1,
-            "timeout" => g.timeouts += 1,
-            "cancelled" => g.cancelled += 1,
-            _ => {}
-        }
-    }
-
-    fn count_write(&self, sent: bool) {
-        if !sent {
-            self.stats().failed_writes += 1;
+        if !conn.send(resp, self.opts.faults.as_ref()) {
+            lock(&self.stats).counts.failed_writes += 1;
         }
     }
 
-    /// Counted send: status first, then the write, then the write
-    /// outcome — the one path every response goes through.
-    fn respond(&self, conn: &ConnWriter, resp: &Response) {
-        self.respond_timed(conn, resp, None);
+    /// Wait until the queue and the in-flight table are both empty, or
+    /// until `until`.
+    fn wait_idle(&self, until: Instant) {
+        while Instant::now() < until {
+            if lock(&self.queue).is_empty() && lock(&self.inflight).is_empty() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
+}
 
-    /// [`respond`](Shared::respond) for an admitted request, which also
-    /// records its admission → response latency.
-    fn respond_timed(&self, conn: &ConnWriter, resp: &Response, admitted: Option<Instant>) {
-        self.count_status(&resp.status, admitted);
-        let sent = conn.send(resp, self.opts.faults.as_ref());
-        self.count_write(sent);
-    }
+fn spawn_worker(shared: &Arc<Shared>) -> JoinHandle<()> {
+    let shared = Arc::clone(shared);
+    std::thread::spawn(move || worker_loop(&shared))
 }
 
 /// A running daemon. Dropping the handle does **not** stop it — call
@@ -317,10 +316,7 @@ impl Server {
         });
 
         let workers = (0..shared.opts.workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
+            .map(|_| spawn_worker(&shared))
             .collect();
         let watchdog = {
             let shared = Arc::clone(&shared);
@@ -370,85 +366,34 @@ impl Server {
 
         // Phase 1: let in-flight and queued work finish at full precision
         // for half the drain budget.
-        let half = shared.opts.drain_timeout / 2;
-        while drain_started.elapsed() < half {
-            let idle = shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .is_empty()
-                && shared
-                    .inflight
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .is_empty();
-            if idle {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        shared.wait_idle(drain_started + shared.opts.drain_timeout / 2);
 
         // Phase 2: cancel every in-flight token — analyses degrade to
         // their naive floor and answer fast — and keep waiting.
-        {
-            let inflight = shared
-                .inflight
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            for entry in inflight.values() {
-                entry.cancel.cancel();
-            }
+        for entry in lock(&shared.inflight).values() {
+            entry.cancel.cancel();
         }
-        while drain_started.elapsed() < shared.opts.drain_timeout {
-            let idle = shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .is_empty()
-                && shared
-                    .inflight
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .is_empty();
-            if idle {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        shared.wait_idle(drain_started + shared.opts.drain_timeout);
 
         // Phase 3: whatever survived the budget gets an explicit
         // `cancelled` response — never a silently dropped connection.
-        let leftovers: Vec<Job> = {
-            let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            queue.drain(..).collect()
-        };
+        let leftovers: Vec<Job> = lock(&shared.queue).drain(..).collect();
         for job in leftovers {
-            let mut resp = Response::new(job.req.id.clone(), "cancelled");
+            let mut resp = Response::new(job.req.id, "cancelled");
             resp.error = Some("server shut down before the request was scheduled".to_owned());
-            shared.respond(&job.conn, &resp);
+            shared.respond(&job.conn, &resp, None);
         }
-        let stuck: Vec<Inflight> = {
-            let mut inflight = shared
-                .inflight
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            inflight.drain().map(|(_, v)| v).collect()
-        };
+        let stuck: Vec<Inflight> = lock(&shared.inflight).drain().map(|(_, v)| v).collect();
         for entry in stuck {
-            if entry
-                .responded
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                entry.abandoned.store(true, Ordering::SeqCst);
-                let mut resp = Response::new(entry.id.clone(), "cancelled");
+            if claim(&entry.responded) {
+                let mut resp = Response::new(entry.id, "cancelled");
                 resp.error = Some("server shut down while the request was running".to_owned());
-                shared.respond(&entry.conn, &resp);
+                shared.respond(&entry.conn, &resp, None);
             }
         }
 
-        // Stop the machinery and join everything (stalled workers exited
-        // or will exit via their abandoned flag; replacements were already
+        // Stop the machinery and join everything (a stalled worker exits
+        // when it wakes and loses the claim; replacements were already
         // spawned, and all of them observe `stop`).
         shared.stop.store(true, Ordering::SeqCst);
         shared.queue_cv.notify_all();
@@ -470,23 +415,10 @@ impl Server {
         if let Some(h) = self.watchdog.take() {
             let _ = h.join();
         }
-        for h in self.workers.drain(..) {
+        // The watchdog, the only thread that adds replacements, has exited.
+        let extra = std::mem::take(&mut *lock(&shared.extra_workers));
+        for h in self.workers.drain(..).chain(extra) {
             let _ = h.join();
-        }
-        loop {
-            let extra = {
-                let mut g = shared
-                    .extra_workers
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                g.pop()
-            };
-            match extra {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
         }
         shared.snapshot()
     }
@@ -544,7 +476,7 @@ fn reader_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 let req = match parse_request(&payload) {
                     Ok(req) => req,
                     Err(msg) => {
-                        shared.respond(&conn, &Response::error(Value::Null, msg));
+                        shared.respond(&conn, &Response::error(Value::Null, msg), None);
                         continue;
                     }
                 };
@@ -555,16 +487,16 @@ fn reader_loop(stream: TcpStream, shared: &Arc<Shared>) {
                             "pong".to_owned(),
                             Value::Bool(true),
                         )]));
-                        shared.respond(&conn, &resp);
+                        shared.respond(&conn, &resp, None);
                     }
                     Op::Stats => {
                         let mut resp = Response::new(req.id, "ok");
                         resp.report = Some(shared.snapshot().to_value());
-                        shared.respond(&conn, &resp);
+                        shared.respond(&conn, &resp, None);
                     }
                     Op::Shutdown => {
                         let resp = Response::new(req.id, "ok");
-                        shared.respond(&conn, &resp);
+                        shared.respond(&conn, &resp, None);
                         shared.shutdown_requested.store(true, Ordering::SeqCst);
                     }
                     Op::Analyze | Op::Lint | Op::Check => {
@@ -582,10 +514,10 @@ fn admit(shared: &Arc<Shared>, conn: &ConnWriter, req: Request) {
     if !shared.accepting.load(Ordering::SeqCst) {
         let mut resp = Response::new(req.id, "draining");
         resp.error = Some("server is draining; no new work accepted".to_owned());
-        shared.respond(conn, &resp);
+        shared.respond(conn, &resp, None);
         return;
     }
-    let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut queue = lock(&shared.queue);
     if queue.len() >= shared.opts.queue_cap {
         // Hint scales with backlog depth: deterministic, monotone, and
         // honest about how far behind the daemon is.
@@ -594,7 +526,7 @@ fn admit(shared: &Arc<Shared>, conn: &ConnWriter, req: Request) {
         let mut resp = Response::new(req.id, "shed");
         resp.error = Some("admission queue full".to_owned());
         resp.retry_after_ms = Some((backlog + 1).saturating_mul(50));
-        shared.respond(conn, &resp);
+        shared.respond(conn, &resp, None);
         return;
     }
     let ticket = shared.next_ticket.fetch_add(1, Ordering::Relaxed);
@@ -605,14 +537,14 @@ fn admit(shared: &Arc<Shared>, conn: &ConnWriter, req: Request) {
         admitted: Instant::now(),
     });
     drop(queue);
-    shared.stats().received += 1;
+    lock(&shared.stats).counts.received += 1;
     shared.queue_cv.notify_one();
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let job = {
-            let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut queue = lock(&shared.queue);
             loop {
                 if let Some(job) = queue.pop_front() {
                     break Some(job);
@@ -628,24 +560,19 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
         let Some(job) = job else { return };
-        if execute(shared, job) == WorkerFate::Abandoned {
+        if !execute(shared, job) {
             // The watchdog answered for this job and spawned a
-            // replacement; this thread is surplus the moment it wakes.
+            // replacement, or the drain did and the pool is stopping:
+            // either way this thread is surplus the moment it wakes.
             return;
         }
     }
 }
 
-#[derive(PartialEq)]
-enum WorkerFate {
-    Alive,
-    Abandoned,
-}
-
-/// Run one job behind the panic boundary and the responded-CAS. Exactly
-/// one of {this worker, the watchdog, the drain} wins the CAS and sends
-/// the response.
-fn execute(shared: &Arc<Shared>, job: Job) -> WorkerFate {
+/// Run one job behind the panic boundary and answer it if this worker
+/// wins the [`claim`]. Exactly one of {this worker, the watchdog, the
+/// drain} wins and sends the response; returns whether this worker did.
+fn execute(shared: &Arc<Shared>, job: Job) -> bool {
     let deadline = Duration::from_millis(
         job.req
             .deadline_ms
@@ -654,63 +581,45 @@ fn execute(shared: &Arc<Shared>, job: Job) -> WorkerFate {
     .min(MAX_DEADLINE);
     let cancel = CancelToken::new();
     let responded = Arc::new(AtomicBool::new(false));
-    let abandoned = Arc::new(AtomicBool::new(false));
     let now = Instant::now();
-    {
-        let mut inflight = shared
-            .inflight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        inflight.insert(
-            job.ticket,
-            Inflight {
-                cancel: cancel.clone(),
-                soft: now + deadline,
-                hard: now + deadline + shared.opts.watchdog_grace,
-                conn: job.conn.clone(),
-                id: job.req.id.clone(),
-                admitted: job.admitted,
-                responded: Arc::clone(&responded),
-                abandoned: Arc::clone(&abandoned),
-            },
-        );
-    }
+    lock(&shared.inflight).insert(
+        job.ticket,
+        Inflight {
+            cancel: cancel.clone(),
+            soft: now + deadline,
+            hard: now + deadline + shared.opts.watchdog_grace,
+            conn: job.conn.clone(),
+            id: job.req.id.clone(),
+            admitted: job.admitted,
+            responded: Arc::clone(&responded),
+        },
+    );
 
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         run_request(shared, &job.req, deadline, &cancel)
     }));
-    let resp = match outcome {
-        Ok(mut resp) => {
-            resp.id = job.req.id.clone();
-            resp
-        }
+    let mut resp = match outcome {
+        Ok(Ok(resp)) => resp,
+        Ok(Err(msg)) => Response::error(Value::Null, msg),
         Err(payload) => {
-            shared.stats().panics_isolated += 1;
+            lock(&shared.stats).counts.panics_isolated += 1;
             Response::error(
-                job.req.id.clone(),
-                format!("analysis panicked (isolated): {}", panic_message(payload.as_ref())),
+                Value::Null,
+                format!(
+                    "analysis panicked (isolated): {}",
+                    panic_message(payload.as_ref())
+                ),
             )
         }
     };
+    resp.id = job.req.id;
 
-    shared
-        .inflight
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .remove(&job.ticket);
-
-    if responded
-        .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-        .is_ok()
-    {
-        shared.respond_timed(&job.conn, &resp, Some(job.admitted));
-        WorkerFate::Alive
-    } else if abandoned.load(Ordering::SeqCst) {
-        WorkerFate::Abandoned
-    } else {
-        // Drain answered for us but the pool is still wanted until stop.
-        WorkerFate::Alive
+    lock(&shared.inflight).remove(&job.ticket);
+    let won = claim(&responded);
+    if won {
+        shared.respond(&job.conn, &resp, Some(job.admitted));
     }
+    won
 }
 
 /// The options signature for cache keying: everything verdict-affecting
@@ -722,151 +631,105 @@ fn options_sig(op: Op, start: Rung, lang: Lang) -> String {
     format!("proto1|{:?}|{}|{}", op, start.name(), lang.name())
 }
 
-/// Resolve a request's frontend language: explicit `lang` wins, then the
-/// `name` extension, then the tasklang default (the registry's shared
-/// resolver). The protocol layer already validated the name, so this
-/// cannot fail for parsed requests.
-fn request_lang(req: &Request) -> Result<Lang, String> {
-    if let Some(lang) = &req.lang {
-        return Lang::from_name(lang);
-    }
-    let name = req.name.as_deref().unwrap_or_default();
-    Ok(frontends::resolve(std::path::Path::new(name), None).lang())
-}
-
-fn run_request(shared: &Arc<Shared>, req: &Request, deadline: Duration, cancel: &CancelToken) -> Response {
-    let label = req.name.clone().unwrap_or_else(|| "<inline>".to_owned());
-    let faults = shared.opts.faults.clone();
+/// Run one admitted request; `Err` carries the message of an `error`
+/// response. The caller sets the response id.
+fn run_request(
+    shared: &Shared,
+    req: &Request,
+    deadline: Duration,
+    cancel: &CancelToken,
+) -> Result<Response, String> {
+    let label = req.name.as_deref().unwrap_or("<inline>");
+    let faults = shared.opts.faults.as_ref();
+    let fire = |site| faults.map_or(Ok(()), |plan| plan.fire(site, label));
 
     // Serve-level parse site. A budget-trip here cancels the token so the
     // engine degrades down the ladder — the "degrade instead of dying"
     // path, exercised without waiting out a real deadline.
-    if let Some(plan) = &faults {
-        match plan.decide(FaultSite::Parse, &label) {
-            None => {}
-            Some(FaultAction::Panic) => panic!("injected fault: panic at site parse ({label})"),
-            Some(FaultAction::Sleep(d)) => std::thread::sleep(d),
-            Some(FaultAction::IoError) => {
-                return Response::error(Value::Null, format!("injected io-error at site parse ({label})"));
-            }
-            Some(FaultAction::BudgetTrip) => cancel.cancel(),
-        }
+    match fire(FaultSite::Parse) {
+        Ok(()) => {}
+        Err(IwaError::Io(msg)) => return Err(msg),
+        Err(_) => cancel.cancel(),
     }
 
     let start = match &req.start {
-        Some(s) => match s.parse::<Rung>() {
-            Ok(r) => r,
-            Err(e) => return Response::error(Value::Null, e),
-        },
+        Some(s) => s.parse::<Rung>()?,
         None => shared.opts.start,
     };
-
-    let lang = match request_lang(req) {
-        Ok(lang) => lang,
-        Err(e) => return Response::error(Value::Null, e),
+    // An explicit `lang` wins, then the `name` extension, then the
+    // tasklang default (the registry's shared resolver).
+    let forced = req.lang.as_deref().map(Lang::from_name).transpose()?;
+    let name = req.name.as_deref().unwrap_or_default();
+    let lang = frontends::resolve(Path::new(name), forced).lang();
+    let engine = EngineOptions {
+        start,
+        deadline: Some(deadline),
+        cancel: Some(cancel.clone()),
+        faults: faults.cloned(),
+        ..EngineOptions::default()
     };
 
+    let source = req.source.as_deref().unwrap_or_default();
+    let mut resp = Response::new(Value::Null, "ok");
     match req.op {
         Op::Analyze => {
-            let source = req.source.as_deref().unwrap_or_default();
             let key = cache_key(source, &options_sig(Op::Analyze, start, lang));
 
             // Cache faults degrade to a miss (never an error): the cache
             // is an optimisation, and an unreliable one must cost only
             // recomputation. Panic is the exception — it exercises the
             // request boundary like any other panic.
-            let mut lookup_allowed = true;
-            if let Some(plan) = &faults {
-                match plan.decide(FaultSite::CacheLookup, &label) {
-                    None => {}
-                    Some(FaultAction::Panic) => {
-                        panic!("injected fault: panic at site cache-lookup ({label})")
-                    }
-                    Some(FaultAction::Sleep(d)) => std::thread::sleep(d),
-                    Some(FaultAction::IoError | FaultAction::BudgetTrip) => {
-                        shared.cache.count_forced_miss();
-                        lookup_allowed = false;
-                    }
+            let hit = match fire(FaultSite::CacheLookup) {
+                Ok(()) => shared.cache.lookup(key),
+                Err(_) => {
+                    shared.cache.count_forced_miss();
+                    None
                 }
-            }
-            if lookup_allowed {
-                if let Some(report) = shared.cache.lookup(key) {
-                    let mut resp = Response::new(Value::Null, "ok");
-                    resp.cached = true;
-                    resp.report = Some(report);
-                    return resp;
-                }
+            };
+            if let Some(report) = hit {
+                resp.cached = true;
+                resp.report = Some(report);
+                return Ok(resp);
             }
 
-            let model = match frontends::by_lang(lang).load(source) {
-                Ok(m) => m,
-                Err(e) => return Response::error(Value::Null, e.to_string()),
-            };
-            let eopts = EngineOptions {
-                start,
-                deadline: Some(deadline),
-                cancel: Some(cancel.clone()),
-                faults: faults.clone(),
-                ..EngineOptions::default()
-            };
-            match iwa_engine::analyze_model(&model, &eopts) {
-                Ok(report) => {
-                    let value = report.to_value();
-                    if !report.degraded {
-                        shared.cache.insert(key, value.clone());
-                    }
-                    let mut resp = Response::new(Value::Null, "ok");
-                    resp.report = Some(value);
-                    resp
-                }
-                Err(e) => Response::error(Value::Null, e.to_string()),
+            let model = frontends::by_lang(lang)
+                .load(source)
+                .map_err(|e| e.to_string())?;
+            let report = iwa_engine::analyze_model(&model, &engine).map_err(|e| e.to_string())?;
+            let value = report.to_value();
+            if !report.degraded {
+                shared.cache.insert(key, value.clone());
             }
+            resp.report = Some(value);
         }
         Op::Lint => {
-            let source = req.source.as_deref().unwrap_or_default();
-            let model = match frontends::by_lang(lang).load(source) {
-                Ok(m) => m,
-                Err(e) => return Response::error(Value::Null, e.to_string()),
-            };
+            let model = frontends::by_lang(lang)
+                .load(source)
+                .map_err(|e| e.to_string())?;
             let budget = Budget::with_deadline(deadline).and_cancel_token(cancel.clone());
             let ctx = iwa_analysis::AnalysisCtx::builder().budget(budget).build();
             // A budget-tripped graph lint degrades to silence.
-            let diagnostics =
-                match lint_model(&ctx, &model, &LintConfig::default(), &registry_for(lang)) {
-                    Ok(d) => d,
-                    Err(e) => return Response::error(Value::Null, e.to_string()),
-                };
-            let mut resp = Response::new(Value::Null, "ok");
+            let diagnostics = lint_model(&ctx, &model, &LintConfig::default(), &registry_for(lang))
+                .map_err(|e| e.to_string())?;
             resp.report = Some(Value::Object(vec![(
                 "diagnostics".to_owned(),
                 diagnostics.to_value(),
             )]));
-            resp
         }
         Op::Check => {
             let path = req.path.as_deref().unwrap_or_default();
-            let sources = match iwa_engine::collect_sources(std::path::Path::new(path)) {
-                Ok(s) if !s.files.is_empty() => s,
-                Ok(_) => {
-                    return Response::error(Value::Null, format!("no analyzable files under {path}"))
-                }
-                Err(e) => return Response::error(Value::Null, e.to_string()),
-            };
+            let sources =
+                iwa_engine::collect_sources(Path::new(path)).map_err(|e| e.to_string())?;
+            if sources.files.is_empty() {
+                return Err(format!("no analyzable files under {path}"));
+            }
             let summary = iwa_engine::check_batch(
                 &sources.files,
                 &CheckOptions {
-                    engine: EngineOptions {
-                        start,
-                        deadline: Some(deadline),
-                        cancel: Some(cancel.clone()),
-                        faults: faults.clone(),
-                        ..EngineOptions::default()
-                    },
+                    engine,
                     jobs: 1,
                     batch_deadline: Some(deadline),
-                    lang: req.lang.as_deref().map(|l| {
-                        Lang::from_name(l).expect("validated at the protocol boundary")
-                    }),
+                    lang: forced,
                     skipped: sources
                         .skipped
                         .iter()
@@ -875,67 +738,42 @@ fn run_request(shared: &Arc<Shared>, req: &Request, deadline: Duration, cancel: 
                     ..CheckOptions::default()
                 },
             );
-            let mut resp = Response::new(Value::Null, "ok");
             resp.report = Some(summary.to_value());
-            resp
         }
         // Handled inline by the reader; unreachable here.
-        Op::Ping | Op::Stats | Op::Shutdown => Response::new(Value::Null, "ok"),
+        Op::Ping | Op::Stats | Op::Shutdown => {}
     }
+    Ok(resp)
 }
 
 fn watchdog_loop(shared: &Arc<Shared>) {
     while !shared.stop.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(20));
         let now = Instant::now();
-        // Collect actions under the lock, perform sends outside it.
-        let mut expired: Vec<(u64, Inflight)> = Vec::new();
-        {
-            let mut inflight = shared
-                .inflight
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let mut to_remove = Vec::new();
-            for (&ticket, entry) in inflight.iter() {
-                if now >= entry.soft {
-                    // Cooperative phase: trip the token so the analysis
-                    // degrades and answers on its own.
-                    entry.cancel.cancel();
-                }
-                if now >= entry.hard {
-                    to_remove.push(ticket);
-                }
+        // Take the expired entries under the lock, answer outside it.
+        let mut expired: Vec<Inflight> = Vec::new();
+        lock(&shared.inflight).retain(|_, entry| {
+            if now >= entry.soft {
+                // Cooperative phase: trip the token so the analysis
+                // degrades and answers on its own.
+                entry.cancel.cancel();
             }
-            for ticket in to_remove {
-                if let Some(entry) = inflight.remove(&ticket) {
-                    expired.push((ticket, entry));
-                }
+            if now >= entry.hard {
+                expired.push(entry.clone());
             }
-        }
-        for (_, entry) in expired {
-            if entry
-                .responded
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                entry.abandoned.store(true, Ordering::SeqCst);
-                let mut resp = Response::new(entry.id.clone(), "timeout");
-                resp.error = Some(
-                    "request overran its hard deadline; the worker was abandoned".to_owned(),
-                );
-                shared.respond_timed(&entry.conn, &resp, Some(entry.admitted));
-                // The stalled worker will exit when (if) it wakes; keep
-                // capacity constant with a replacement.
-                shared.stats().workers_replaced += 1;
-                let replacement = {
-                    let shared = Arc::clone(shared);
-                    std::thread::spawn(move || worker_loop(&shared))
-                };
-                shared
-                    .extra_workers
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(replacement);
+            now < entry.hard
+        });
+        for entry in expired {
+            if claim(&entry.responded) {
+                let mut resp = Response::new(entry.id, "timeout");
+                resp.error =
+                    Some("request overran its hard deadline; the worker was abandoned".to_owned());
+                shared.respond(&entry.conn, &resp, Some(entry.admitted));
+                // The stalled worker exits when (if) it wakes and loses
+                // the claim; keep capacity constant with a replacement.
+                lock(&shared.stats).counts.workers_replaced += 1;
+                let replacement = spawn_worker(shared);
+                lock(&shared.extra_workers).push(replacement);
             }
         }
     }
