@@ -105,9 +105,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             for f in frontends::all() {
                 outln!(
                     "{:<6} .{:<6} {}",
-                    f.lang().name(),
-                    f.extensions().join(", ."),
-                    f.description()
+                    f.lang.name(),
+                    f.extensions.join(", ."),
+                    f.description
                 );
             }
             Ok(ExitCode::SUCCESS)
@@ -645,7 +645,7 @@ fn explain_lint(name: &str) -> Result<ExitCode, String> {
     outln!("{}", l.name);
     outln!("  default severity : {}", l.default_severity);
     outln!("  description      : {}", l.description);
-    let extensions = frontends::by_lang(lang).extensions().join(", .");
+    let extensions = frontends::by_lang(lang).extensions.join(", .");
     outln!("  applies to       : {} (.{extensions})", lang.name());
     Ok(ExitCode::SUCCESS)
 }
@@ -654,9 +654,9 @@ fn explain_lint(name: &str) -> Result<ExitCode, String> {
 /// each lint's check reads.
 fn list_lints() -> Result<ExitCode, String> {
     for f in frontends::all() {
-        let lang = f.lang();
+        let lang = f.lang;
         let lints = registry_for(lang);
-        let extensions = f.extensions().join(", .");
+        let extensions = f.extensions.join(", .");
         outln!("{} (.{extensions}): {} lints", lang.name(), lints.len());
         for l in lints {
             let severity = l.default_severity.to_string();

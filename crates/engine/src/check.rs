@@ -323,7 +323,7 @@ fn check_one(
 ) -> FileOutcome {
     let started = Instant::now();
     let display = path.display().to_string();
-    let lang = frontends::resolve(path, forced).lang().name().to_owned();
+    let lang = frontends::resolve(path, forced).lang.name().to_owned();
     let max_attempts = u64::from(max_attempts.max(1));
 
     let mut retries = 0u64;

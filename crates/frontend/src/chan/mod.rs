@@ -61,7 +61,7 @@ pub use livelock::{LivelockKind, LivelockWitness, StarvedArm};
 pub use parser::{parse_chan, MAX_NESTING_DEPTH};
 
 use crate::wait::{WaitCycle, WaitModel};
-use crate::{Frontend, Lang, LoadedModel, ModelIr};
+use crate::{Lang, LoadedModel, ModelIr};
 use iwa_core::IwaError;
 use iwa_syncgraph::SyncGraph;
 
@@ -130,41 +130,25 @@ impl WaitModel for ChanModel {
     }
 }
 
-/// The `.chan` frontend.
-pub struct ChanFrontend;
-
-impl Frontend for ChanFrontend {
-    fn lang(&self) -> Lang {
-        Lang::Chan
-    }
-
-    fn extensions(&self) -> &'static [&'static str] {
-        &["chan"]
-    }
-
-    fn description(&self) -> &'static str {
-        "processes over channels with select/close; deadlocks are port-wait cycles, \
-         plus static livelock classification"
-    }
-
-    fn load(&self, src: &str) -> Result<LoadedModel, IwaError> {
-        let program = parse_chan(src)?;
-        let effects = ChanEffects::compute(&program);
-        let comm_graph = CommGraph::build(&program, &effects);
-        let cycles = comm_graph.wait.cycles();
-        let livelocks = livelock::find_livelocks(&program, &effects);
-        let (sg, wait_points) = comm_graph.wait.lower();
-        Ok(LoadedModel {
-            lang: Lang::Chan,
-            ir: ModelIr::Chan(Box::new(ChanModel {
-                program,
-                effects,
-                comm_graph,
-                cycles,
-                livelocks,
-                sg,
-                wait_points,
-            })),
-        })
-    }
+/// The `.chan` frontend's load: parse, compute the channel effects, build
+/// the dependency graph and its cycles, find livelocks, lower.
+pub(crate) fn load(src: &str) -> Result<LoadedModel, IwaError> {
+    let program = parse_chan(src)?;
+    let effects = ChanEffects::compute(&program);
+    let comm_graph = CommGraph::build(&program, &effects);
+    let cycles = comm_graph.wait.cycles();
+    let livelocks = livelock::find_livelocks(&program, &effects);
+    let (sg, wait_points) = comm_graph.wait.lower();
+    Ok(LoadedModel {
+        lang: Lang::Chan,
+        ir: ModelIr::Chan(Box::new(ChanModel {
+            program,
+            effects,
+            comm_graph,
+            cycles,
+            livelocks,
+            sg,
+            wait_points,
+        })),
+    })
 }

@@ -4,7 +4,7 @@
 //! Nothing in the CLG/SCC machinery cares that a [`SyncGraph`] came from
 //! an Ada-subset rendezvous program — the refined search, the naive cycle
 //! check, and the wavesim oracle all consume the graph alone. A
-//! [`Frontend`] packages everything that *is* language-specific:
+//! [`Frontend`] record packages everything that *is* language-specific:
 //!
 //! * **parse** — source text to a language AST, with spans and the shared
 //!   [`IwaError::Parse`](iwa_core::IwaError) error shape;
@@ -13,16 +13,15 @@
 //! * **lower** — the AST to the paper's sync graph (and whatever
 //!   language-level IR the lints and reports need alongside it).
 //!
-//! Three frontends ship today: [`TasklangFrontend`] (the original `.iwa`
-//! rendezvous DSL), [`LokFrontend`] (the `.lok` lock-order language —
-//! see [`lok`]), and [`ChanFrontend`] (the `.chan` channel/select
-//! language, which adds a static livelock classification — see
-//! [`chan`]). The last two produce one IR, the [`wait`]-for graph, and
-//! share its one lowering onto the CLG. The [`registry`] resolves a
-//! frontend by language or file extension (a `--lang` name becomes a
-//! [`Lang`] through [`Lang::from_name`]), and [`Lang`]
-//! doubles as the lint applicability key: each lint declares which
-//! languages it speaks.
+//! Three frontends ship today, one record each in the [`registry`]'s
+//! table: the original `.iwa` rendezvous DSL, the `.lok` lock-order
+//! language (see [`lok`]), and the `.chan` channel/select language, which
+//! adds a static livelock classification (see [`chan`]). The last two
+//! produce one IR, the [`wait`]-for graph, and share its one lowering
+//! onto the CLG. The [`registry`] resolves a frontend by language or file
+//! extension (a `--lang` name becomes a [`Lang`] through
+//! [`Lang::from_name`]), and [`Lang`] doubles as the lint applicability
+//! key: each lint's check reads one language.
 
 use iwa_core::IwaError;
 use iwa_syncgraph::SyncGraph;
@@ -35,8 +34,8 @@ pub mod chan;
 pub mod lok;
 pub mod wait;
 
-pub use chan::{ChanFrontend, ChanModel};
-pub use lok::{LokFrontend, LokModel};
+pub use chan::ChanModel;
+pub use lok::LokModel;
 pub use wait::{WaitCycle, WaitEdge, WaitGraph, WaitModel};
 
 /// The source languages the analyzer understands. Doubles as the
@@ -186,78 +185,71 @@ impl LoadedModel {
 
 /// A language frontend: parse → validate → lower, as one `load` call.
 ///
-/// Implementations are stateless unit structs registered in
-/// [`registry::all`]; everything per-model lives in the returned
-/// [`LoadedModel`].
-pub trait Frontend: Sync {
+/// Frontends are plain records in the [`registry`]'s static table;
+/// everything per-model lives in the returned [`LoadedModel`].
+pub struct Frontend {
     /// The language this frontend implements.
-    fn lang(&self) -> Lang;
-
+    pub lang: Lang,
     /// File extensions (without the dot) this frontend claims.
-    fn extensions(&self) -> &'static [&'static str];
-
-    /// One-line description for `--explain` output and docs.
-    fn description(&self) -> &'static str;
-
-    /// Parse, validate, and lower `src`. `Err` means the model cannot be
-    /// analysed (syntax error or hard model violation).
-    fn load(&self, src: &str) -> Result<LoadedModel, IwaError>;
+    pub extensions: &'static [&'static str],
+    /// One-line description for `iwa langs` and `--explain` output.
+    pub description: &'static str,
+    load: fn(&str) -> Result<LoadedModel, IwaError>,
 }
 
-/// The `.iwa` frontend: the original tasklang pipeline behind the
-/// [`Frontend`] contract.
-pub struct TasklangFrontend;
-
-impl Frontend for TasklangFrontend {
-    fn lang(&self) -> Lang {
-        Lang::Tasklang
-    }
-
-    fn extensions(&self) -> &'static [&'static str] {
-        &["iwa"]
-    }
-
-    fn description(&self) -> &'static str {
-        "rendezvous tasks over send/accept signals (Masticola & Ryder's model)"
-    }
-
-    fn load(&self, src: &str) -> Result<LoadedModel, IwaError> {
-        LoadedModel::from_program(iwa_tasklang::parse(src)?)
+impl Frontend {
+    /// Parse, validate, and lower `src`. `Err` means the model cannot be
+    /// analysed (syntax error or hard model violation).
+    pub fn load(&self, src: &str) -> Result<LoadedModel, IwaError> {
+        (self.load)(src)
     }
 }
 
 /// Frontend resolution: by language, by file extension, or both ([`registry::resolve`]).
 pub mod registry {
-    use super::{ChanFrontend, Frontend, Lang, LokFrontend, Path, TasklangFrontend};
+    use super::{chan, lok, Frontend, Lang, LoadedModel, Path};
 
-    static TASKLANG: TasklangFrontend = TasklangFrontend;
-    static LOK: LokFrontend = LokFrontend;
-    static CHAN: ChanFrontend = ChanFrontend;
+    /// Every frontend, one per [`Lang`] in declaration order.
+    static FRONTENDS: [Frontend; 3] = [
+        Frontend {
+            lang: Lang::Tasklang,
+            extensions: &["iwa"],
+            description: "rendezvous tasks over send/accept signals (Masticola & Ryder's model)",
+            load: |src| LoadedModel::from_program(iwa_tasklang::parse(src)?),
+        },
+        Frontend {
+            lang: Lang::Lok,
+            extensions: &["lok"],
+            description: "threads acquiring/releasing named mutexes; deadlocks are lock-order cycles",
+            load: lok::load,
+        },
+        Frontend {
+            lang: Lang::Chan,
+            extensions: &["chan"],
+            description: "processes over channels with select/close; deadlocks are port-wait \
+                          cycles, plus static livelock classification",
+            load: chan::load,
+        },
+    ];
 
     /// Every registered frontend, tasklang first.
     #[must_use]
-    pub fn all() -> [&'static dyn Frontend; 3] {
-        [&TASKLANG, &LOK, &CHAN]
+    pub fn all() -> &'static [Frontend] {
+        &FRONTENDS
     }
 
     /// The frontend for `lang` (total — every [`Lang`] has one).
     #[must_use]
-    pub fn by_lang(lang: Lang) -> &'static dyn Frontend {
-        match lang {
-            Lang::Tasklang => &TASKLANG,
-            Lang::Lok => &LOK,
-            Lang::Chan => &CHAN,
-        }
+    pub fn by_lang(lang: Lang) -> &'static Frontend {
+        &FRONTENDS[lang as usize]
     }
 
     /// Resolve by file extension; `None` for unknown languages (the
     /// caller reports the file as skipped).
     #[must_use]
-    pub fn by_extension(path: &Path) -> Option<&'static dyn Frontend> {
+    pub fn by_extension(path: &Path) -> Option<&'static Frontend> {
         let ext = path.extension()?.to_str()?;
-        all()
-            .into_iter()
-            .find(|f| f.extensions().contains(&ext))
+        FRONTENDS.iter().find(|f| f.extensions.contains(&ext))
     }
 
     /// The one extension→frontend policy shared by the CLI, the batch
@@ -266,10 +258,10 @@ pub mod registry {
     /// default (analyzing an extensionless file as `.iwa` matches the
     /// original single-language behaviour).
     #[must_use]
-    pub fn resolve(path: &Path, forced: Option<Lang>) -> &'static dyn Frontend {
+    pub fn resolve(path: &Path, forced: Option<Lang>) -> &'static Frontend {
         match forced {
             Some(lang) => by_lang(lang),
-            None => by_extension(path).unwrap_or(&TASKLANG),
+            None => by_extension(path).unwrap_or(by_lang(Lang::Tasklang)),
         }
     }
 }
@@ -282,6 +274,7 @@ mod tests {
     fn lang_names_round_trip() {
         for lang in [Lang::Tasklang, Lang::Lok, Lang::Chan] {
             assert_eq!(Lang::from_name(lang.name()), Ok(lang));
+            assert_eq!(registry::by_lang(lang).lang, lang);
         }
         assert!(Lang::from_name("ada").is_err());
         assert_eq!(Lang::from_name("tasklang"), Ok(Lang::Tasklang));
@@ -291,11 +284,11 @@ mod tests {
     #[test]
     fn registry_resolves_by_extension() {
         let f = registry::by_extension(Path::new("a/b/model.iwa")).unwrap();
-        assert_eq!(f.lang(), Lang::Tasklang);
+        assert_eq!(f.lang, Lang::Tasklang);
         let f = registry::by_extension(Path::new("threads.lok")).unwrap();
-        assert_eq!(f.lang(), Lang::Lok);
+        assert_eq!(f.lang, Lang::Lok);
         let f = registry::by_extension(Path::new("pipes.chan")).unwrap();
-        assert_eq!(f.lang(), Lang::Chan);
+        assert_eq!(f.lang, Lang::Chan);
         assert!(registry::by_extension(Path::new("README.md")).is_none());
         assert!(registry::by_extension(Path::new("no_extension")).is_none());
     }
@@ -303,19 +296,19 @@ mod tests {
     #[test]
     fn resolve_prefers_forced_lang_and_defaults_to_tasklang() {
         assert_eq!(
-            registry::resolve(Path::new("pipes.chan"), None).lang(),
+            registry::resolve(Path::new("pipes.chan"), None).lang,
             Lang::Chan
         );
         assert_eq!(
-            registry::resolve(Path::new("pipes.chan"), Some(Lang::Lok)).lang(),
+            registry::resolve(Path::new("pipes.chan"), Some(Lang::Lok)).lang,
             Lang::Lok
         );
         assert_eq!(
-            registry::resolve(Path::new("no_extension"), None).lang(),
+            registry::resolve(Path::new("no_extension"), None).lang,
             Lang::Tasklang
         );
         assert_eq!(
-            registry::resolve(Path::new("README.md"), None).lang(),
+            registry::resolve(Path::new("README.md"), None).lang,
             Lang::Tasklang
         );
     }

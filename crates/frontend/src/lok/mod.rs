@@ -32,7 +32,7 @@ pub use lockgraph::{LockGraph, LockIssue};
 pub use parser::{parse_lok, MAX_NESTING_DEPTH};
 
 use crate::wait::{WaitCycle, WaitModel};
-use crate::{Frontend, Lang, LoadedModel, ModelIr};
+use crate::{Lang, LoadedModel, ModelIr};
 use iwa_core::IwaError;
 use iwa_syncgraph::SyncGraph;
 
@@ -81,36 +81,21 @@ impl WaitModel for LokModel {
     }
 }
 
-/// The `.lok` frontend.
-pub struct LokFrontend;
-
-impl Frontend for LokFrontend {
-    fn lang(&self) -> Lang {
-        Lang::Lok
-    }
-
-    fn extensions(&self) -> &'static [&'static str] {
-        &["lok"]
-    }
-
-    fn description(&self) -> &'static str {
-        "threads acquiring/releasing named mutexes; deadlocks are lock-order cycles"
-    }
-
-    fn load(&self, src: &str) -> Result<LoadedModel, IwaError> {
-        let program = parse_lok(src)?;
-        let lock_graph = LockGraph::build(&program);
-        let cycles = lock_graph.wait.cycles();
-        let (sg, hold_points) = lock_graph.wait.lower();
-        Ok(LoadedModel {
-            lang: Lang::Lok,
-            ir: ModelIr::Lok(Box::new(LokModel {
-                program,
-                lock_graph,
-                cycles,
-                sg,
-                hold_points,
-            })),
-        })
-    }
+/// The `.lok` frontend's load: parse, build the lock-order graph and
+/// its cycles, lower.
+pub(crate) fn load(src: &str) -> Result<LoadedModel, IwaError> {
+    let program = parse_lok(src)?;
+    let lock_graph = LockGraph::build(&program);
+    let cycles = lock_graph.wait.cycles();
+    let (sg, hold_points) = lock_graph.wait.lower();
+    Ok(LoadedModel {
+        lang: Lang::Lok,
+        ir: ModelIr::Lok(Box::new(LokModel {
+            program,
+            lock_graph,
+            cycles,
+            sg,
+            hold_points,
+        })),
+    })
 }

@@ -660,7 +660,7 @@ fn run_request(
     // tasklang default (the registry's shared resolver).
     let forced = req.lang.as_deref().map(Lang::from_name).transpose()?;
     let name = req.name.as_deref().unwrap_or_default();
-    let lang = frontends::resolve(Path::new(name), forced).lang();
+    let lang = frontends::resolve(Path::new(name), forced).lang;
     let engine = EngineOptions {
         start,
         deadline: Some(deadline),

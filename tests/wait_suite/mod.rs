@@ -71,7 +71,7 @@ impl Corpus {
             .map(|e| e.expect("readable dir entry").path())
             .filter(|p| {
                 p.extension()
-                    .is_some_and(|e| frontend.extensions().contains(&e.to_str().unwrap_or("")))
+                    .is_some_and(|e| frontend.extensions.contains(&e.to_str().unwrap_or("")))
             })
             .collect();
         paths.sort();
