@@ -175,13 +175,6 @@ impl CoexecInfo {
     pub fn not_coexec_row(&self, h: usize) -> &BitSet {
         &self.rows[h]
     }
-
-    /// `NOT-COEXEC[h]`: every node provably not co-executable with `h`.
-    #[must_use]
-    pub fn not_coexec_with(&self, sg: &SyncGraph, h: usize) -> Vec<usize> {
-        let _ = sg;
-        self.rows[h].to_vec()
-    }
 }
 
 /// The intra-task `NOT-COEXEC` rows: per rendezvous `h`, the other nodes
@@ -256,7 +249,7 @@ mod tests {
         assert!(cx.not_coexec(&sg, y, x));
         assert!(!cx.not_coexec(&sg, x, z), "x then z is a real path");
         assert!(!cx.not_coexec(&sg, x, x), "irreflexive");
-        assert_eq!(cx.not_coexec_with(&sg, x), vec![y]);
+        assert_eq!(cx.not_coexec_row(x).to_vec(), vec![y]);
     }
 
     #[test]
@@ -299,7 +292,7 @@ mod tests {
         assert!(cx.not_coexec(&sg, p, q));
         assert!(cx.not_coexec(&sg, p, r));
         assert!(cx.not_coexec(&sg, q, r));
-        let mut not_with_p = cx.not_coexec_with(&sg, p);
+        let mut not_with_p = cx.not_coexec_row(p).to_vec();
         not_with_p.sort_unstable();
         assert_eq!(not_with_p, vec![q, r]);
     }

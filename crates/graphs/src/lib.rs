@@ -9,8 +9,8 @@
 //!   with optional typed edge labels, built once from a flat edge arena and
 //!   immutable thereafter;
 //! * [`GraphView`] — the minimal read-only adjacency trait every algorithm
-//!   is written against, so alternative representations (test references,
-//!   condensations) share the same algorithm code;
+//!   is written against, so alternative representations (the test
+//!   references) share the same algorithm code;
 //! * [`BitSet`] / [`BitMatrix`] — dense bit collections backing reachability
 //!   and the `precedes` relation of the ordering dataflow; the single
 //!   node-set representation of the workspace;
@@ -20,7 +20,7 @@
 //!   component of a single root in a node-filtered subgraph (the refined
 //!   algorithm's per-head query);
 //! * [`dominators`] — Cooper–Harvey–Kennedy dominator trees;
-//! * [`topo`] — Kahn topological sort / acyclicity.
+//! * [`topo`] — Kahn topological sort (`None` on a cycle).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

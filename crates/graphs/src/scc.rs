@@ -14,7 +14,7 @@
 //! what those two searches reach.
 
 use crate::view::GraphView;
-use crate::{BitSet, Csr, GraphBuilder};
+use crate::BitSet;
 
 /// The strongly-connected-component decomposition of a graph.
 ///
@@ -149,23 +149,6 @@ impl Scc {
             .map(<[u32]>::to_vec)
             .collect()
     }
-
-    /// The condensation DAG: one node per component, edges between distinct
-    /// components wherever `g` has an edge.
-    #[must_use]
-    pub fn condensation<G: GraphView + ?Sized>(&self, g: &G) -> Csr<()> {
-        let mut dag = GraphBuilder::with_nodes(self.num_components());
-        let mut seen = std::collections::HashSet::new();
-        for u in 0..g.num_nodes() {
-            for &v in g.successors(u) {
-                let (cu, cv) = (self.comp[u], self.comp[v as usize]);
-                if cu != cv && seen.insert((cu, cv)) {
-                    dag.add_arc(cu as usize, cv as usize);
-                }
-            }
-        }
-        dag.freeze()
-    }
 }
 
 /// Iterative Tarjan. Kept out of the public API.
@@ -274,6 +257,7 @@ impl SccState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Csr;
 
     #[test]
     fn two_cycles_and_a_bridge() {
@@ -324,14 +308,13 @@ mod tests {
     fn condensation_is_a_dag_in_reverse_topo_numbering() {
         let g = Csr::from_edges(5, &[(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4)]);
         let scc = Scc::compute(&g, None);
-        let dag = scc.condensation(&g);
-        assert_eq!(dag.num_nodes(), 3);
+        assert_eq!(scc.num_components(), 3);
         // Tarjan numbers components in reverse topological order: an edge
-        // cu → cv in the condensation implies cu > cv.
-        for (u, v, _) in dag.edges() {
-            assert!(u > v, "condensation edge {u}→{v} violates ordering");
+        // u → v of `g` between two components implies comp(u) > comp(v).
+        for (u, v, _) in g.edges() {
+            let (cu, cv) = (scc.component_of(u), scc.component_of(v));
+            assert!(cu >= cv, "edge {u}→{v} runs from component {cu} to {cv}");
         }
-        assert!(!crate::dfs::has_cycle_from(&dag, dag.num_nodes() - 1));
     }
 
     #[test]

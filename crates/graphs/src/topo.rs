@@ -1,4 +1,4 @@
-//! Topological sorting and acyclicity (Kahn's algorithm).
+//! Topological sorting (Kahn's algorithm).
 
 use crate::view::GraphView;
 
@@ -22,12 +22,6 @@ pub fn topological_sort<G: GraphView + ?Sized>(g: &G) -> Option<Vec<usize>> {
     (order.len() == n).then_some(order)
 }
 
-/// Is the whole graph acyclic?
-#[must_use]
-pub fn is_acyclic<G: GraphView + ?Sized>(g: &G) -> bool {
-    topological_sort(g).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -46,22 +40,20 @@ mod tests {
     fn rejects_cycles() {
         let g = Csr::from_edges(2, &[(0, 1), (1, 0)]);
         assert!(topological_sort(&g).is_none());
-        assert!(!is_acyclic(&g));
     }
 
     #[test]
     fn empty_and_isolated() {
         let g = Csr::from_edges(3, &[]);
-        assert!(is_acyclic(&g));
         assert_eq!(topological_sort(&g).unwrap().len(), 3);
         let empty: Csr<()> = Csr::new();
-        assert!(is_acyclic(&empty));
+        assert!(topological_sort(&empty).is_some());
     }
 
     #[test]
     fn self_loop_rejected() {
         let mut b: GraphBuilder<()> = GraphBuilder::with_nodes(1);
         b.add_arc(0, 0);
-        assert!(!is_acyclic(&b.freeze()));
+        assert!(topological_sort(&b.freeze()).is_none());
     }
 }
