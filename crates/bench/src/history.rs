@@ -29,8 +29,9 @@ pub const DEFAULT_STEP_REGRESSION_PCT: u64 = 15;
 /// Default on-disk location of the trajectory, relative to the repo root.
 pub const DEFAULT_HISTORY_PATH: &str = "reports/bench_history.jsonl";
 
-/// One trajectory point: the host-independent core of a [`BenchRow`]
-/// (`crate::suite::BenchRow`) plus the informational wall-clock column.
+/// One trajectory point: the host-independent core of a
+/// [`BenchRow`](crate::suite::BenchRow) plus the informational wall-clock
+/// column.
 #[derive(Clone, Debug, Serialize)]
 pub struct HistoryRow {
     /// Stable family name.

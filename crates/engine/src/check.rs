@@ -4,10 +4,10 @@
 //! boundary ([`std::panic::catch_unwind`]): one malformed or adversarial
 //! input — even one that crashes an analysis outright — cannot take down
 //! the rest of the run. With [`CheckOptions::jobs`] > 1 the files fan out
-//! across the [`pool`](iwa_core::pool) workers; outcomes keep input
-//! order, so the summary is byte-identical for any job count (timing
-//! fields aside). The per-file outcomes roll up into a [`CheckSummary`]
-//! with an error taxonomy and a stable
+//! across the [`pool`] workers; outcomes keep input order, so the
+//! summary is byte-identical for any job count (timing fields aside).
+//! The per-file outcomes roll up into a [`CheckSummary`] with an error
+//! taxonomy and a stable
 //! [exit-code contract](CheckSummary::exit_code).
 //!
 //! For end-to-end tests of the isolation machinery the driver honours
@@ -99,7 +99,7 @@ pub struct CheckOptions {
 #[derive(Clone, Debug, Serialize)]
 pub struct CheckSummary {
     /// The JSON shape version
-    /// ([`SCHEMA_VERSION`](crate::ladder::SCHEMA_VERSION)).
+    /// ([`SCHEMA_VERSION`]).
     pub schema_version: u32,
     /// Per-file outcomes, in input order (regardless of job count).
     pub files: Vec<FileOutcome>,

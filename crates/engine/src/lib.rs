@@ -6,7 +6,7 @@
 //! the exhaustive oracle explode. This crate turns every analysis entry
 //! point into something a build pipeline can rely on:
 //!
-//! * [`analyze`] runs a [ladder](ladder) of analyses from most precise to
+//! * [`analyze`] runs a [ladder] of analyses from most precise to
 //!   cheapest under one [`Budget`](iwa_core::Budget) — a rung that
 //!   exceeds its slice is abandoned (with its partial-progress counters
 //!   on record) and the next cheaper rung gets the remaining budget,

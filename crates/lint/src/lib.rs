@@ -5,7 +5,7 @@
 //! the pieces the CLI and engine share to do that:
 //!
 //! * [`Diagnostic`] — one finding: a lint name, a [`Severity`], a message,
-//!   and a [`Span`](iwa_core::Span) pointing into the original source
+//!   and a [`Span`] pointing into the original source
 //!   (spans survive the Lemma-1 transforms, so graph-level lints computed
 //!   on the unrolled program still underline the statement the user
 //!   wrote);

@@ -7,8 +7,8 @@
 //!
 //! The protocol is deliberately boring: 4-byte big-endian length prefix,
 //! JSON payload, one response per request ([`proto`]). What the crate is
-//! actually about is the robustness layer around the existing
-//! `iwa_core::pool` + `AnalysisCtx` machinery:
+//! actually about is the robustness layer around the existing engine
+//! ladder (`iwa_engine`) and `AnalysisCtx` machinery:
 //!
 //! - **Deadline propagation** — a request's `deadline_ms` becomes the
 //!   engine `Budget`, so an overloaded daemon *degrades down the

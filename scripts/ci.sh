@@ -20,6 +20,12 @@ cargo test --offline --manifest-path perfbench/Cargo.toml
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --no-deps --workspace: no doc warnings"
+# Broken or redundant intra-doc links, and public docs that link private
+# items, fail here instead of piling up unseen. The vendored crates are
+# workspace members (path dependencies), so their docs are checked too.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> multi-job determinism: iwa check -j 1/2/8 agree byte-for-byte on each corpus"
 # A step budget (not a wall-clock one) keeps trip-vs-complete independent
 # of scheduling. Only the wall-clock fields (elapsed_ms, wall_ms) may vary
