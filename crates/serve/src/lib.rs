@@ -19,9 +19,9 @@
 //! - **Panic isolation** — each request runs under `catch_unwind`; an
 //!   analysis panic costs that request an error response, not the
 //!   daemon its life.
-//! - **Watchdog** — a worker stalled past its hard deadline is
-//!   abandoned (the request gets a `"timeout"` response) and replaced,
-//!   so capacity never leaks.
+//! - **Watchdog** — the watchdog answers for a worker stalled past its
+//!   hard deadline (a `"timeout"` response) and replaces it, so
+//!   capacity never leaks.
 //! - **Graceful drain** — shutdown stops accepting, finishes or
 //!   cancels in-flight work via `CancelToken`, and answers every
 //!   admitted request before the process exits.

@@ -122,9 +122,9 @@ pub struct ServeStats {
     pub p99_us: u64,
 }
 
-/// The daemon's counters: every [`ServeStats`] field but the cache and
-/// percentile ones, which [`Shared::snapshot`] fills in, plus the
-/// latency samples the percentiles are read from.
+/// The daemon's counters and the latency samples its percentiles are
+/// read from. The cache and percentile fields of `counts` stay zero;
+/// [`Shared::snapshot`] fills them in.
 #[derive(Debug, Default)]
 struct StatsInner {
     counts: ServeStats,
@@ -142,8 +142,9 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Lock `m`, recovering the data of a poisoned mutex: a panic is isolated
-/// to its request, so the state it guarded is still the daemon's.
+/// Lock `m`, recovering the data of a poisoned mutex: every update made
+/// under the daemon's locks (a counter bump, a queue or table push or
+/// pop, one frame write) leaves the data valid at every step.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
